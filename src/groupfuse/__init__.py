@@ -13,8 +13,8 @@ from .losses import (check_value, knight_identity_gap, ls_residual_gradient,
                      prox_check)
 from .penalties import (FusedPenalty, adaptive_weights, penalty_value,
                         prox_block_norm)
-from .solver import (DiffOperator, GridSpec, SolverConfig, SolverError,
-                     brute_force_fit, default_schedules, fit)
+from .solver import (DiffOperator, SolverConfig, SolverError,
+                     default_schedules, fit)
 from .detection import (DetectionReport, detect_differences, mad_metric,
                         med_metric, score_detection, segments_from_detected)
 from .simulation import (McReport, ScenarioSpec, generate_instance,
@@ -26,8 +26,8 @@ __all__ = [
     "check_value", "knight_identity_gap", "ls_residual_gradient",
     "prox_check",
     "FusedPenalty", "adaptive_weights", "penalty_value", "prox_block_norm",
-    "DiffOperator", "GridSpec", "SolverConfig", "SolverError",
-    "brute_force_fit", "default_schedules", "fit",
+    "DiffOperator", "SolverConfig", "SolverError", "default_schedules",
+    "fit",
     "DetectionReport", "detect_differences", "mad_metric", "med_metric",
     "score_detection", "segments_from_detected",
     "McReport", "ScenarioSpec", "generate_instance", "load_scenario_grid",

@@ -116,8 +116,8 @@ def cmd_fit(args) -> int:
     stage = "adaptive" if args.adaptive else "fused"
     lam = args.lam if args.lam is not None else default_schedules(n, stage)[0]
 
-    cfg = SolverConfig(max_iter=args.max_iter, fusion_tol=args.fusion_tol)
     try:
+        cfg = SolverConfig(max_iter=args.max_iter, fusion_tol=args.fusion_tol)
         if args.adaptive:
             pilot_lam = (args.pilot_lambda if args.pilot_lambda is not None
                          else default_schedules(n, "fused")[0])

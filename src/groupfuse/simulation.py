@@ -146,7 +146,13 @@ def _draw_change_locations(rng: np.random.Generator, g: int, k: int) -> list[int
         locs = np.sort(rng.choice(candidates, size=k, replace=False))
         if not avoid_adjacent or np.all(np.diff(locs) > 1):
             return [int(j) for j in locs]
-    raise RuntimeError("could not draw non-adjacent change locations")
+    # dense non-adjacent draws can defeat rejection; draw exactly instead:
+    # adding i to the i-th of k sorted values from {2..g-k+1} maps them one
+    # to one onto the non-adjacent k-subsets of {2..g}.  Falling back only
+    # here keeps the draw uniform and every draw rejection finds unchanged.
+    locs = np.sort(rng.choice(np.arange(2, g - k + 2), size=k,
+                              replace=False)) + np.arange(k)
+    return [int(j) for j in locs]
 
 
 def generate_instance(spec: ScenarioSpec, rng: np.random.Generator

@@ -3,10 +3,11 @@
 Minimizes  loss(y - X b) + n * lam * sum_{j=2}^g w_j ||b_j - b_{j-1}||_q
 by operator splitting (ADMM) on the successive-difference operator D.
 
-For the LS loss the quadratic is absorbed exactly into the b-update and only
-the difference blocks are mirrored (z = D b); for the quantile loss a second
-mirror carries the residuals so the check function enters through its exact
-prox.  The two constraint blocks run at different augmented-Lagrangian rates
+One loop serves both losses.  For the LS loss the quadratic is absorbed
+exactly into the b-update and only the difference blocks are mirrored
+(z = D b); for the quantile loss a second mirror carries the residuals so
+the check function enters through its exact prox.  The two constraint
+blocks of the quantile loss run at different augmented-Lagrangian rates
 (rho for the residuals, c * rho for the differences, c set from the penalty
 scale), which keeps the dual variables O(1) even when the per-pair penalty
 weights are large; the ratio c is fixed per fit so the cached factorization
@@ -15,8 +16,7 @@ of the b-update system survives residual-balancing changes to rho.
 The recorded merit per outer iteration is the true objective of the
 incumbent (best-so-far) iterate, which is also what gets returned.
 
-A dense grid-search oracle for tiny instances and the default tuning
-schedules live here too.
+The default tuning schedules live here too.
 """
 
 from __future__ import annotations
@@ -25,15 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import detection, penalties
 from .model import (DimensionMismatchError, FitResult, GroupedCoefficients,
                     GroupedDesign, ProblemSpec)
 from .losses import prox_check
 
+RHO_INIT = 1.0
 RHO_MIN = 1e-3
 RHO_MAX = 1e3
+OVER_RELAX = 1.5
 # residual balancing fires at most this often: on piecewise-linear problems
 # every rescaling of the duals restarts the tail of the iteration
 ADAPT_EVERY = 50
@@ -47,35 +48,31 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Splitting-solver knobs.
 
-    ``rho`` seeds the augmented-Lagrangian rate (residual balancing adapts
-    it by factors of 2 within [1e-3, 1e3] unless ``adapt_rho`` is off),
     ``tol_abs``/``tol_rel`` feed the standard primal/dual residual stopping
     rule, and ``fusion_tol`` is the post-hoc threshold used to read the
     detected difference set off the solution.  ``warm_start`` accepts any
     coefficient vector; vectors returned by :func:`fit` carry the full
     splitting state and restart at the fixed point.
+
+    The augmented-Lagrangian rate starts at ``RHO_INIT``; every
+    ``ADAPT_EVERY`` iterations residual balancing may halve or double it
+    within [``RHO_MIN``, ``RHO_MAX``].  For the LS loss the start and both bounds
+    are multiplied by max(1, median of the pair weights n * lam * w_j).
     """
 
-    rho: float = 1.0
     max_iter: int = 10000
     tol_abs: float = 1e-8
     tol_rel: float = 1e-6
     fusion_tol: float = detection.DEFAULT_FUSION_TOL
     warm_start: GroupedCoefficients | None = None
-    adapt_rho: bool = True
-    over_relax: float = 1.5
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.tol_abs <= 0 or self.tol_rel <= 0:
             raise ValueError("tolerances must be positive")
         if self.fusion_tol < 0:
             raise ValueError("fusion_tol must be nonnegative")
-        if not 0.5 <= self.over_relax <= 2.0:
-            raise ValueError("over_relax must lie in [0.5, 2.0]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,30 +185,35 @@ def _assemble(design, cfg, inc: _Incumbent, state: _WarmState,
     )
 
 
-def _warm_arrays(cfg, key, n: int, md: int, need_zr: bool):
+def _warm_arrays(cfg, key, design: GroupedDesign, D: DiffOperator,
+                 need_zr: bool):
     """Initial (beta0, zr, zd, ur, ud, rho, donor) from the warm-start field.
 
-    ``rho`` is None unless a full state matching this problem is attached;
-    ``donor`` is that state when it was converged, enabling restart
-    acceptance at the residual levels already accepted once.
+    A full state of matching shape restarts the splitting where it stopped;
+    otherwise the mirrors start at the warm coefficients (or at zero) with
+    zero duals.  The residual mirror (zr, ur) exists only if ``need_zr``.
+    ``rho`` is None unless the state is of this very problem; ``donor`` is
+    that state when it was converged, enabling restart acceptance at the
+    residual levels already accepted once.
     """
-    donor = None
-    if cfg.warm_start is None:
-        return None, None, None, None, None, None, donor
+    n, md = design.n, D.rows
     ws = cfg.warm_start
-    beta0 = ws.flat
+    beta0 = None if ws is None else ws.flat
     state = getattr(ws, "_warm_state", None)
     if state is not None and state.zd.shape == (md,) and \
             (not need_zr or (state.zr is not None and state.zr.shape == (n,))):
         same_problem = state.problem_key == key
-        if same_problem and state.converged:
-            donor = state
-        zr = state.zr.copy() if state.zr is not None else None
         rho = min(max(state.rho, RHO_MIN), RHO_MAX) if same_problem else None
-        return beta0, zr, state.zd.copy(), \
-            (state.ur.copy() if state.ur is not None else None), \
-            state.ud.copy(), rho, donor
-    return beta0, None, None, None, None, None, donor
+        donor = state if same_problem and state.converged else None
+        zr = state.zr.copy() if need_zr else None
+        ur = state.ur.copy() if need_zr else None
+        return beta0, zr, state.zd.copy(), ur, state.ud.copy(), rho, donor
+    zd = np.zeros(md) if beta0 is None else D.apply(beta0)
+    zr = ur = None
+    if need_zr:
+        zr = design.y.copy() if beta0 is None else design.y - design.X @ beta0
+        ur = np.zeros(n)
+    return beta0, zr, zd, ur, np.zeros(md), None, None
 
 
 def _accepts(rnorm, snorm, eps_pri, eps_dual, donor) -> bool:
@@ -225,86 +227,118 @@ def _accepts(rnorm, snorm, eps_pri, eps_dual, donor) -> bool:
     return False
 
 
-def _fit_ls(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
-            kappa: np.ndarray) -> FitResult:
+def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
+          kappa: np.ndarray) -> FitResult:
+    """The splitting loop for either loss.
+
+    The losses differ only in the setup, the b-update right-hand side, the
+    residual mirror (zr, ur) of the check loss, the stopping norms and the
+    rescale on a rho change; the rest is shared.
+    """
     n, g, p = design.n, design.g, design.p
     X, y = design.X, design.y
     Xt = np.ascontiguousarray(X.T)
     D = DiffOperator(g, p)
     md = D.rows
-    alpha = cfg.over_relax
+    ls = spec.loss == "ls"
+    tau = spec.tau
     key = _problem_key(design, spec, kappa)
-
-    XtX2 = 2.0 * (Xt @ X)
-    Xty2 = 2.0 * (Xt @ y)
     gram_d = D.gram()
-
-    # large penalty weights need a comparable dual rate or the difference
-    # duals crawl; the data-scale factor keeps rho dimensionless
-    rho_scale = max(1.0, float(np.median(kappa)) if md else 1.0)
-
-    beta0, _, zd, _, ud, state_rho, donor = _warm_arrays(cfg, key, n, md,
-                                                         need_zr=False)
-    rho = state_rho if state_rho is not None else cfg.rho * rho_scale
-    if beta0 is None:
-        zd = np.zeros(md)
-        ud = np.zeros(md)
-    elif zd is None:
-        zd = D.apply(beta0)
-        ud = np.zeros(md)
-
-    solve = _factorize(XtX2 + rho * gram_d)
-    sqrt_pri = np.sqrt(max(md, 1))
+    kappa_med = float(np.median(kappa)) if md else 0.0
+    if ls:
+        # the b-update system carries the difference rate, so balancing
+        # refactorizes it; large penalty weights need a comparable rate or
+        # the difference duals crawl, and the data-scale factor keeps rho
+        # dimensionless
+        rho_scale, c_ratio = max(1.0, kappa_med), 1.0
+        sqrt_pri = np.sqrt(max(md, 1))
+        XtX2, Xty2 = 2.0 * (Xt @ X), 2.0 * (Xt @ y)
+    else:
+        # rate ratio between the difference and residual blocks: the check
+        # subgradients are O(1) while the difference duals are O(kappa)
+        rho_scale = 1.0
+        c_ratio = max(1.0, kappa_med / max(tau, 1.0 - tau))
+        sqrt_pri = np.sqrt(n + md)
+        norm_y = np.linalg.norm(y)
+        solve = _factorize(Xt @ X + c_ratio * gram_d)
     sqrt_dual = np.sqrt(g * p)
+
+    beta0, zr, zd, ur, ud, rho, donor = _warm_arrays(cfg, key, design, D,
+                                                     need_zr=not ls)
+    if rho is None:
+        rho = RHO_INIT * rho_scale
+    if ls:
+        solve = _factorize(XtX2 + rho * gram_d)
+
+    def merit(resid, Db):
+        pen = float(kappa @ penalties.block_norms(
+            Db.reshape(g - 1, p), spec.q)) if md else 0.0
+        if ls:
+            return float(resid @ resid) + pen
+        return float(np.sum(resid * (tau - (resid < 0)))) + pen
 
     inc = _Incumbent()
     if beta0 is not None:
         # never return anything worse than the starting point
-        resid0 = y - X @ beta0
         Db0 = D.apply(beta0)
-        pen0 = float(kappa @ penalties.block_norms(
-            Db0.reshape(g - 1, p), spec.q)) if md else 0.0
-        inc.seed(float(resid0 @ resid0) + pen0, beta0, Db0)
+        inc.seed(merit(y - X @ beta0, Db0), beta0, Db0)
+    alpha = OVER_RELAX
     converged = False
     rnorm = snorm = 0.0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        beta = solve(Xty2 + rho * D.adjoint(zd - ud))
+        rho_d = rho * c_ratio
+        if ls:
+            rhs = Xty2 + rho * D.adjoint(zd - ud)
+        else:
+            rhs = Xt @ (y - zr - ur) + c_ratio * D.adjoint(zd - ud)
+        beta = solve(rhs)
         if not np.all(np.isfinite(beta)):
             raise SolverError(f"non-finite iterate at iteration {it}")
+        Xb = X @ beta
         Db = D.apply(beta)
         Db_r = alpha * Db + (1.0 - alpha) * zd
         zd_old = zd
         if md:
             zd = penalties.prox_block_norms(
-                (Db_r + ud).reshape(g - 1, p), kappa / rho, spec.q).ravel()
+                (Db_r + ud).reshape(g - 1, p), kappa / rho_d, spec.q).ravel()
         ud = ud + (Db_r - zd)
-
-        resid = y - X @ beta
-        pen = float(kappa @ penalties.block_norms(
-            Db.reshape(g - 1, p), spec.q)) if md else 0.0
-        inc.update(float(resid @ resid) + pen, beta, zd)
-
         dzd = zd - zd_old
-        pri = Db - zd
-        rnorm = np.linalg.norm(pri)
-        snorm = rho * np.linalg.norm(D.adjoint(dzd))
-        db_norm = np.linalg.norm(Db)
-        zd_norm = np.linalg.norm(zd)
-        eps_pri = sqrt_pri * cfg.tol_abs + cfg.tol_rel * max(db_norm, zd_norm)
-        grad_norm = np.linalg.norm(Xty2 - XtX2 @ beta)
-        eps_dual = sqrt_dual * cfg.tol_abs + cfg.tol_rel * max(
-            rho * np.linalg.norm(D.adjoint(ud)), grad_norm)
-        if _accepts(rnorm, snorm, eps_pri, eps_dual, donor):
-            converged = True
-            break
+        if not ls:
+            Xb_r = alpha * Xb + (1.0 - alpha) * (y - zr)
+            zr_old = zr
+            zr = prox_check(y - Xb_r - ur, 1.0 / rho, tau)
+            ur = ur + (Xb_r + zr - y)
+            dzr = zr - zr_old
+        inc.update(merit(y - Xb, Db), beta, zd)
+
+        if ls:
+            rnorm = np.linalg.norm(Db - zd)
+            snorm = rho * np.linalg.norm(D.adjoint(dzd))
+            step = np.linalg.norm(dzd)
+            pri_scale = step_scale = max(np.linalg.norm(Db),
+                                         np.linalg.norm(zd))
+            dual_scale = max(rho * np.linalg.norm(D.adjoint(ud)),
+                             np.linalg.norm(Xty2 - XtX2 @ beta))
+        else:
+            pri_r, pri_d = Xb + zr - y, Db - zd
+            rnorm = np.sqrt(pri_r @ pri_r + pri_d @ pri_d)
+            snorm = np.linalg.norm(rho * (Xt @ dzr) - rho_d * D.adjoint(dzd))
+            step = np.sqrt(dzr @ dzr + dzd @ dzd)
+            step_scale = max(np.sqrt(zr @ zr + zd @ zd), norm_y)
+            pri_scale = max(np.sqrt(Xb @ Xb + Db @ Db), step_scale)
+            dual_scale = max(rho * np.linalg.norm(Xt @ ur),
+                             rho_d * np.linalg.norm(D.adjoint(ud)))
+        eps_pri = sqrt_pri * cfg.tol_abs + cfg.tol_rel * pri_scale
+        eps_dual = sqrt_dual * cfg.tol_abs + cfg.tol_rel * dual_scale
         step_tol = sqrt_pri * cfg.tol_abs + \
-            0.1 * cfg.tol_rel * max(zd_norm, db_norm, 1e-12)
-        if rnorm <= step_tol and np.linalg.norm(dzd) <= step_tol:
+            0.1 * cfg.tol_rel * max(step_scale, 1e-12)
+        if _accepts(rnorm, snorm, eps_pri, eps_dual, donor) or \
+                (rnorm <= step_tol and step <= step_tol):
             converged = True
             break
 
-        if cfg.adapt_rho and it % ADAPT_EVERY == 0:
+        if it % ADAPT_EVERY == 0:
             new_rho = rho
             if rnorm > 10.0 * snorm and rnorm > eps_pri:
                 new_rho = min(rho * 2.0, RHO_MAX * rho_scale)
@@ -312,119 +346,10 @@ def _fit_ls(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
                 new_rho = max(rho / 2.0, RHO_MIN * rho_scale)
             if new_rho != rho:
                 ud = ud * (rho / new_rho)
-                rho = new_rho
-                solve = _factorize(XtX2 + rho * gram_d)
-
-    state = _WarmState(zr=None, zd=zd, ur=None, ud=ud, rho=rho,
-                       problem_key=key, stop_primal=float(rnorm),
-                       stop_dual=float(snorm), converged=converged)
-    return _assemble(design, cfg, inc, state, converged, it, rnorm, snorm)
-
-
-def _fit_quantile(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
-                  kappa: np.ndarray) -> FitResult:
-    n, g, p = design.n, design.g, design.p
-    X, y = design.X, design.y
-    Xt = np.ascontiguousarray(X.T)
-    D = DiffOperator(g, p)
-    md = D.rows
-    alpha = cfg.over_relax
-    tau = spec.tau
-    key = _problem_key(design, spec, kappa)
-
-    # rate ratio between the difference and residual blocks: the check
-    # subgradients are O(1) while the difference duals are O(kappa)
-    c_ratio = max(1.0, float(np.median(kappa)) / max(tau, 1.0 - tau)) if md else 1.0
-
-    solve = _factorize(Xt @ X + c_ratio * D.gram())
-    norm_y = np.linalg.norm(y)
-    sqrt_pri = np.sqrt(n + md)
-    sqrt_dual = np.sqrt(g * p)
-
-    beta0, zr, zd, ur, ud, state_rho, donor = _warm_arrays(cfg, key, n, md,
-                                                           need_zr=True)
-    rho = state_rho if state_rho is not None else cfg.rho
-    if beta0 is None:
-        zr = y.copy()
-        zd = np.zeros(md)
-        ur = np.zeros(n)
-        ud = np.zeros(md)
-    elif zr is None:
-        zr = y - X @ beta0
-        zd = D.apply(beta0)
-        ur = np.zeros(n)
-        ud = np.zeros(md)
-
-    inc = _Incumbent()
-    if beta0 is not None:
-        resid0 = y - X @ beta0
-        Db0 = D.apply(beta0)
-        pen0 = float(kappa @ penalties.block_norms(
-            Db0.reshape(g - 1, p), spec.q)) if md else 0.0
-        inc.seed(float(np.sum(resid0 * (tau - (resid0 < 0)))) + pen0,
-                 beta0, Db0)
-    converged = False
-    rnorm = snorm = 0.0
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        rho_d = rho * c_ratio
-        rhs = Xt @ (y - zr - ur) + c_ratio * D.adjoint(zd - ud)
-        beta = solve(rhs)
-        if not np.all(np.isfinite(beta)):
-            raise SolverError(f"non-finite iterate at iteration {it}")
-        Xb = X @ beta
-        Db = D.apply(beta)
-        Xb_r = alpha * Xb + (1.0 - alpha) * (y - zr)
-        Db_r = alpha * Db + (1.0 - alpha) * zd
-
-        zr_old, zd_old = zr, zd
-        zr = prox_check(y - Xb_r - ur, 1.0 / rho, tau)
-        if md:
-            zd = penalties.prox_block_norms(
-                (Db_r + ud).reshape(g - 1, p), kappa / rho_d, spec.q).ravel()
-        ur = ur + (Xb_r + zr - y)
-        ud = ud + (Db_r - zd)
-
-        pen = float(kappa @ penalties.block_norms(
-            Db.reshape(g - 1, p), spec.q)) if md else 0.0
-        resid = y - Xb
-        inc.update(float(np.sum(resid * (tau - (resid < 0)))) + pen, beta, zd)
-
-        pri_r = Xb + zr - y
-        pri_d = Db - zd
-        rnorm = np.sqrt(pri_r @ pri_r + pri_d @ pri_d)
-        dzr = zr - zr_old
-        dzd = zd - zd_old
-        sdual = rho * (Xt @ dzr) - rho_d * D.adjoint(dzd)
-        snorm = np.linalg.norm(sdual)
-
-        ax_norm = np.sqrt(Xb @ Xb + Db @ Db)
-        bz_norm = np.sqrt(zr @ zr + zd @ zd)
-        eps_pri = sqrt_pri * cfg.tol_abs + \
-            cfg.tol_rel * max(ax_norm, bz_norm, norm_y)
-        dual_scale = max(rho * np.linalg.norm(Xt @ ur),
-                         rho_d * np.linalg.norm(D.adjoint(ud)))
-        eps_dual = sqrt_dual * cfg.tol_abs + cfg.tol_rel * dual_scale
-        if _accepts(rnorm, snorm, eps_pri, eps_dual, donor):
-            converged = True
-            break
-        step = np.sqrt(dzr @ dzr + dzd @ dzd)
-        step_tol = sqrt_pri * cfg.tol_abs + \
-            0.1 * cfg.tol_rel * max(bz_norm, norm_y, 1e-12)
-        if rnorm <= step_tol and step <= step_tol:
-            converged = True
-            break
-
-        if cfg.adapt_rho and it % ADAPT_EVERY == 0:
-            new_rho = rho
-            if rnorm > 10.0 * snorm and rnorm > eps_pri:
-                new_rho = min(rho * 2.0, RHO_MAX)
-            elif snorm > 10.0 * rnorm and snorm > eps_dual:
-                new_rho = max(rho / 2.0, RHO_MIN)
-            if new_rho != rho:
-                scale = rho / new_rho
-                ur *= scale
-                ud *= scale
+                if ls:
+                    solve = _factorize(XtX2 + new_rho * gram_d)
+                else:
+                    ur = ur * (rho / new_rho)
                 rho = new_rho
 
     state = _WarmState(zr=zr, zd=zd, ur=ur, ud=ud, rho=rho,
@@ -458,166 +383,7 @@ def fit(design: GroupedDesign, spec: ProblemSpec,
         )
     weights = spec.pair_weights(design.n, g)
     kappa = design.n * spec.lam * weights
-    if spec.loss == "ls":
-        return _fit_ls(design, spec, cfg, kappa)
-    return _fit_quantile(design, spec, cfg, kappa)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Controls for the tiny-instance grid-search oracle."""
-
-    points: int = 21
-    refine_points: int = 13
-    obj_tol: float = 1e-7
-    max_sweeps: int = 40
-
-    def __post_init__(self):
-        if self.points < 3 or self.refine_points < 3:
-            raise ValueError("grids need at least 3 points per coordinate")
-
-
-def _quantile_loss_only_fit(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-    # classic LP form: minimize tau*1'u+ + (1-tau)*1'u-  s.t.  X b + u+ - u- = y
-    n, d = X.shape
-    c = np.concatenate([np.zeros(d), np.full(n, tau), np.full(n, 1.0 - tau)])
-    A_eq = np.hstack([X, np.eye(n), -np.eye(n)])
-    bounds = [(None, None)] * d + [(0, None)] * (2 * n)
-    res = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds,
-                                 method="highs")
-    if not res.success:
-        raise SolverError(f"loss-only quantile LP failed: {res.message}")
-    return res.x[:d]
-
-
-def _directions(d: int) -> np.ndarray:
-    # nonzero sign patterns in {-1,0,1}^d, one per +/- pair
-    dirs = []
-    for code in range(1, 3 ** d):
-        vec = []
-        rem = code
-        for _ in range(d):
-            vec.append([0.0, 1.0, -1.0][rem % 3])
-            rem //= 3
-        first = next(v for v in vec if v != 0.0)
-        if first > 0:
-            dirs.append(vec)
-    return np.asarray(dirs)
-
-
-def brute_force_fit(design: GroupedDesign, spec: ProblemSpec,
-                    grid: GridSpec | None = None) -> GroupedCoefficients:
-    """Independent oracle: dense grid search plus line-search refinement.
-
-    Guarded to g*p <= 3.  The box is centered on the loss-only fit; the grid
-    stage locates the basin, bisection sweeps along coordinate and diagonal
-    sign directions refine it, and a final simplex polish removes any
-    residual kink stall.  No step shares code with :func:`fit`.
-    """
-    if grid is None:
-        grid = GridSpec()
-    g, p = design.g, design.p
-    d = g * p
-    if d > 3:
-        raise ValueError(f"brute force limited to g*p <= 3, got {d}")
-    X, y, n = design.X, design.y, design.n
-    weights = spec.pair_weights(n, g)
-    kappa = n * spec.lam * weights
-
-    def objective_at(points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        resid = y[None, :] - pts @ X.T
-        if spec.loss == "quantile":
-            loss = (resid * (spec.tau - (resid < 0))).sum(axis=1)
-        else:
-            loss = (resid ** 2).sum(axis=1)
-        if g > 1:
-            blocks = pts.reshape(pts.shape[0], g, p)
-            diffs = blocks[:, 1:, :] - blocks[:, :-1, :]
-            if spec.q == 1:
-                norms = np.abs(diffs).sum(axis=2)
-            else:
-                norms = np.sqrt((diffs ** 2).sum(axis=2))
-            loss = loss + norms @ kappa
-        return loss
-
-    if spec.loss == "quantile":
-        center = _quantile_loss_only_fit(X, y, spec.tau)
-    else:
-        center = np.linalg.lstsq(X, y, rcond=None)[0]
-    radius = 2.0 * (1.0 + max(1.0, np.abs(center).max()))
-
-    def staged_min(fobj, mid: np.ndarray) -> tuple[np.ndarray, float]:
-        dims = mid.size
-
-        def grid_stage(at: np.ndarray, half: float, npts: int) -> np.ndarray:
-            axes = [np.linspace(m - half, m + half, npts) for m in at]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            return pts[int(np.argmin(fobj(pts)))]
-
-        best = grid_stage(mid, radius, grid.points)
-        step = 2.0 * radius / (grid.points - 1)
-        best = grid_stage(best, step, grid.refine_points)
-        best_val = float(fobj(best[None, :])[0])
-
-        def line_min(x0, v):
-            lo, hi = -radius, radius
-            for _ in range(60):
-                t1 = lo + (hi - lo) / 3.0
-                t2 = hi - (hi - lo) / 3.0
-                if fobj((x0 + t1 * v)[None, :])[0] <= \
-                        fobj((x0 + t2 * v)[None, :])[0]:
-                    hi = t2
-                else:
-                    lo = t1
-            x = x0 + 0.5 * (lo + hi) * v
-            return x, float(fobj(x[None, :])[0])
-
-        dirs = _directions(dims)
-        for _ in range(grid.max_sweeps):
-            sweep_start = best_val
-            for v in dirs:
-                cand, val = line_min(best, v)
-                if val < best_val:
-                    best, best_val = cand, val
-            if sweep_start - best_val < grid.obj_tol:
-                break
-
-        polish = scipy.optimize.minimize(
-            lambda x: float(fobj(x[None, :])[0]), best,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-        if polish.fun < best_val:
-            best, best_val = polish.x, float(polish.fun)
-        return best, best_val
-
-    # the unconstrained search can stall on the kinks of exactly-fused
-    # solutions, so every fusion pattern is also optimized inside its own
-    # (smooth across the fused pairs) subspace and the overall best wins
-    best_point = None
-    best_val = np.inf
-    for mask in range(2 ** (g - 1)):
-        seg_of_group = np.zeros(g, dtype=int)
-        for j in range(1, g):
-            fused_pair = bool(mask & (1 << (j - 1)))
-            seg_of_group[j] = seg_of_group[j - 1] + (0 if fused_pair else 1)
-        n_seg = seg_of_group[-1] + 1
-        embed = np.zeros((d, n_seg * p))
-        for j in range(g):
-            s = seg_of_group[j]
-            embed[j * p:(j + 1) * p, s * p:(s + 1) * p] = np.eye(p)
-        mid = np.linalg.lstsq(embed, center, rcond=None)[0]
-        theta, val = staged_min(lambda TH: objective_at(TH @ embed.T), mid)
-        if val < best_val:
-            best_val = val
-            best_point = embed @ theta
-
-    return GroupedCoefficients.from_flat(best_point, g, p)
+    return _admm(design, spec, cfg, kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.optimize
 from scipy.integrate import quad
 
-from groupfuse import GroupedDesign, ProblemSpec, fit
+from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
+                       SolverError, fit)
 from groupfuse.detection import score_detection
 from groupfuse.simulation import ScenarioSpec, generate_instance
 from groupfuse.solver import default_schedules
@@ -101,3 +105,156 @@ def heavy_schedule_misscls(args) -> int:
                                      lam=lam_heavy), cfg)
     _, _, misscls = score_detection(result.detected_set, truth)
     return misscls
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Controls for the tiny-instance grid-search oracle."""
+
+    points: int = 21
+    refine_points: int = 13
+    obj_tol: float = 1e-7
+    max_sweeps: int = 40
+
+    def __post_init__(self):
+        if self.points < 3 or self.refine_points < 3:
+            raise ValueError("grids need at least 3 points per coordinate")
+
+
+def _quantile_loss_only_fit(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+    # classic LP form: minimize tau*1'u+ + (1-tau)*1'u-  s.t.  X b + u+ - u- = y
+    n, d = X.shape
+    c = np.concatenate([np.zeros(d), np.full(n, tau), np.full(n, 1.0 - tau)])
+    A_eq = np.hstack([X, np.eye(n), -np.eye(n)])
+    bounds = [(None, None)] * d + [(0, None)] * (2 * n)
+    res = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds,
+                                 method="highs")
+    if not res.success:
+        raise SolverError(f"loss-only quantile LP failed: {res.message}")
+    return res.x[:d]
+
+
+def _directions(d: int) -> np.ndarray:
+    # nonzero sign patterns in {-1,0,1}^d, one per +/- pair
+    dirs = []
+    for code in range(1, 3 ** d):
+        vec = []
+        rem = code
+        for _ in range(d):
+            vec.append([0.0, 1.0, -1.0][rem % 3])
+            rem //= 3
+        first = next(v for v in vec if v != 0.0)
+        if first > 0:
+            dirs.append(vec)
+    return np.asarray(dirs)
+
+
+def brute_force_fit(design: GroupedDesign, spec: ProblemSpec,
+                    grid: GridSpec | None = None) -> GroupedCoefficients:
+    """Independent oracle: dense grid search plus line-search refinement.
+
+    Guarded to g*p <= 3.  The box is centered on the loss-only fit; the grid
+    stage locates the basin, bisection sweeps along coordinate and diagonal
+    sign directions refine it, and a final simplex polish removes any
+    residual kink stall.  No step shares code with :func:`fit`.
+    """
+    if grid is None:
+        grid = GridSpec()
+    g, p = design.g, design.p
+    d = g * p
+    if d > 3:
+        raise ValueError(f"brute force limited to g*p <= 3, got {d}")
+    X, y, n = design.X, design.y, design.n
+    weights = spec.pair_weights(n, g)
+    kappa = n * spec.lam * weights
+
+    def objective_at(points: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(points)
+        resid = y[None, :] - pts @ X.T
+        if spec.loss == "quantile":
+            loss = (resid * (spec.tau - (resid < 0))).sum(axis=1)
+        else:
+            loss = (resid ** 2).sum(axis=1)
+        if g > 1:
+            blocks = pts.reshape(pts.shape[0], g, p)
+            diffs = blocks[:, 1:, :] - blocks[:, :-1, :]
+            if spec.q == 1:
+                norms = np.abs(diffs).sum(axis=2)
+            else:
+                norms = np.sqrt((diffs ** 2).sum(axis=2))
+            loss = loss + norms @ kappa
+        return loss
+
+    if spec.loss == "quantile":
+        center = _quantile_loss_only_fit(X, y, spec.tau)
+    else:
+        center = np.linalg.lstsq(X, y, rcond=None)[0]
+    radius = 2.0 * (1.0 + max(1.0, np.abs(center).max()))
+
+    def staged_min(fobj, mid: np.ndarray) -> tuple[np.ndarray, float]:
+        dims = mid.size
+
+        def grid_stage(at: np.ndarray, half: float, npts: int) -> np.ndarray:
+            axes = [np.linspace(m - half, m + half, npts) for m in at]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            return pts[int(np.argmin(fobj(pts)))]
+
+        best = grid_stage(mid, radius, grid.points)
+        step = 2.0 * radius / (grid.points - 1)
+        best = grid_stage(best, step, grid.refine_points)
+        best_val = float(fobj(best[None, :])[0])
+
+        def line_min(x0, v):
+            lo, hi = -radius, radius
+            for _ in range(60):
+                t1 = lo + (hi - lo) / 3.0
+                t2 = hi - (hi - lo) / 3.0
+                if fobj((x0 + t1 * v)[None, :])[0] <= \
+                        fobj((x0 + t2 * v)[None, :])[0]:
+                    hi = t2
+                else:
+                    lo = t1
+            x = x0 + 0.5 * (lo + hi) * v
+            return x, float(fobj(x[None, :])[0])
+
+        dirs = _directions(dims)
+        for _ in range(grid.max_sweeps):
+            sweep_start = best_val
+            for v in dirs:
+                cand, val = line_min(best, v)
+                if val < best_val:
+                    best, best_val = cand, val
+            if sweep_start - best_val < grid.obj_tol:
+                break
+
+        polish = scipy.optimize.minimize(
+            lambda x: float(fobj(x[None, :])[0]), best,
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
+        if polish.fun < best_val:
+            best, best_val = polish.x, float(polish.fun)
+        return best, best_val
+
+    # the unconstrained search can stall on the kinks of exactly-fused
+    # solutions, so every fusion pattern is also optimized inside its own
+    # (smooth across the fused pairs) subspace and the overall best wins
+    best_point = None
+    best_val = np.inf
+    for mask in range(2 ** (g - 1)):
+        seg_of_group = np.zeros(g, dtype=int)
+        for j in range(1, g):
+            fused_pair = bool(mask & (1 << (j - 1)))
+            seg_of_group[j] = seg_of_group[j - 1] + (0 if fused_pair else 1)
+        n_seg = seg_of_group[-1] + 1
+        embed = np.zeros((d, n_seg * p))
+        for j in range(g):
+            s = seg_of_group[j]
+            embed[j * p:(j + 1) * p, s * p:(s + 1) * p] = np.eye(p)
+        mid = np.linalg.lstsq(embed, center, rcond=None)[0]
+        theta, val = staged_min(lambda TH: objective_at(TH @ embed.T), mid)
+        if val < best_val:
+            best_val = val
+            best_point = embed @ theta
+
+    return GroupedCoefficients.from_flat(best_point, g, p)

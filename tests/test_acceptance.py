@@ -12,14 +12,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from groupfuse import ProblemSpec, brute_force_fit, fit, objective
+from groupfuse import ProblemSpec, fit, objective
 from groupfuse.cli import main
 from groupfuse.losses import knight_identity_gap, prox_check
 from groupfuse.penalties import prox_block_norms
 from groupfuse.simulation import (MC_SOLVER_CONFIG, ScenarioSpec,
                                   generate_instance, run_monte_carlo)
-from helpers import (heavy_schedule_misscls, random_tiny_instance,
-                     ternary_min_batch)
+from helpers import (brute_force_fit, heavy_schedule_misscls,
+                     random_tiny_instance, ternary_min_batch)
 
 WORKERS = 2
 

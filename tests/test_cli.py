@@ -166,6 +166,13 @@ def test_cmd_fit_input_errors_exit_1(tmp_path, capsys):
                  "--out", str(out)]) == 1  # no lambda selected
     assert main(["fit", str(data), "--response", "y", "--lambda", "1",
                  "--auto-lambda", "--out", str(out)]) == 1
+    assert main(["fit", str(data), "--response", "y", "--auto-lambda",
+                 "--max-iter", "0", "--out", str(out)]) == 1
+    assert "max_iter" in capsys.readouterr().err
+    assert main(["fit", str(data), "--response", "y", "--auto-lambda",
+                 "--fusion-tol", "-1", "--out", str(out)]) == 1
+    assert "fusion_tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_fit_nonconvergence_exit_2(tmp_path):

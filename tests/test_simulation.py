@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ def test_change_locations_valid_and_non_adjacent():
         assert all(2 <= j <= 40 for j in truth)
         # g >= 4 * changes, so adjacent changes are rejected
         assert np.all(np.diff(truth) > 1)
+
+
+def test_dense_non_adjacent_changes_are_drawn():
+    # 40 non-adjacent changes in g = 200: almost every rejection draw fails
+    grid = Path(__file__).resolve().parent.parent / "scripts/full_grid.conf"
+    cell = [spec for spec in load_scenario_grid(grid)
+            if spec.p == 1 and spec.g == 200 and spec.changes == 0.2][0]
+    for m in range(5):
+        rng = np.random.default_rng((cell.seed, m))
+        _, _, truth = generate_instance(cell, rng)
+        assert len(truth) == cell.n_changes == 40
+        assert truth == sorted(truth)
+        assert all(2 <= j <= 200 for j in truth)
+        assert np.all(np.diff(truth) >= 2)
 
 
 def test_gaussian_errors_unit_variance():

@@ -4,10 +4,9 @@ import scipy.linalg
 
 from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
                        objective)
-from groupfuse.solver import (DiffOperator, GridSpec, SolverConfig,
-                              SolverError, brute_force_fit, default_schedules,
-                              fit)
-from helpers import random_tiny_instance
+from groupfuse.solver import (DiffOperator, SolverConfig, SolverError,
+                              default_schedules, fit)
+from helpers import GridSpec, brute_force_fit, random_tiny_instance
 
 
 @pytest.mark.parametrize("g, p", [(1, 1), (1, 3), (2, 2), (5, 1), (4, 3)])
@@ -114,6 +113,22 @@ def test_warm_start_from_solution_is_instant(spec):
     assert again.converged
     assert again.iterations <= 2
     assert again.objective <= first.objective + 1e-8
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_warm_start_across_losses(q):
+    # an LS state carries no residual mirror, a quantile state carries one
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((12, 4))
+    y = rng.standard_normal(12)
+    design = GroupedDesign(X=X, y=y, g=4, p=1)
+    ls = ProblemSpec(loss="ls", q=q, lam=0.2)
+    qr = ProblemSpec(loss="quantile", tau=0.5, q=q, lam=0.2)
+    cold_ls, cold_qr = fit(design, ls), fit(design, qr)
+    for spec, cold, donor in ((qr, cold_qr, cold_ls), (ls, cold_ls, cold_qr)):
+        warm = fit(design, spec, SolverConfig(warm_start=donor.beta))
+        assert warm.converged
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-5)
 
 
 def test_warm_start_plain_coefficients_accepted():
