@@ -9,10 +9,8 @@ __version__ = "0.1.0"
 
 from .model import (DimensionMismatchError, FitResult, GroupedCoefficients,
                     GroupedDesign, ProblemSpec, objective)
-from .losses import (check_value, knight_identity_gap, ls_residual_gradient,
-                     prox_check)
-from .penalties import (FusedPenalty, adaptive_weights, penalty_value,
-                        prox_block_norm)
+from .losses import check_value, prox_check
+from .penalties import adaptive_weights
 from .solver import (DiffOperator, SolverConfig, SolverError,
                      default_schedules, fit)
 from .detection import (DetectionReport, detect_differences, mad_metric,
@@ -23,9 +21,7 @@ from .simulation import (McReport, ScenarioSpec, generate_instance,
 __all__ = [
     "DimensionMismatchError", "FitResult", "GroupedCoefficients",
     "GroupedDesign", "ProblemSpec", "objective",
-    "check_value", "knight_identity_gap", "ls_residual_gradient",
-    "prox_check",
-    "FusedPenalty", "adaptive_weights", "penalty_value", "prox_block_norm",
+    "check_value", "prox_check", "adaptive_weights",
     "DiffOperator", "SolverConfig", "SolverError", "default_schedules",
     "fit",
     "DetectionReport", "detect_differences", "mad_metric", "med_metric",

@@ -19,11 +19,10 @@ import numpy as np
 
 from . import __version__
 from .datasets import DatasetError, load_dataset, standardize_columns
-from .detection import segments_from_detected
+from .detection import DEFAULT_FUSION_TOL, segments_from_detected
 from .model import GroupedDesign, ProblemSpec
 from .simulation import (ConfigError, format_table, load_scenario_grid,
-                         resolve_workers, run_monte_carlo, write_report_csv,
-                         write_report_json)
+                         run_monte_carlo, write_report_csv, write_report_json)
 from .solver import SolverConfig, default_schedules, fit
 
 FIT_SCHEMA_VERSION = 1
@@ -51,9 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "ordered list of column names (default: infer "
                             "groups from <var>_<groupindex> column names)")
     p_fit.add_argument("--loss", choices=["ls", "quantile"], default="ls")
-    p_fit.add_argument("--tau", type=float, default=0.5,
+    p_fit.add_argument("--tau", type=float, default=ProblemSpec.tau,
                        help="quantile level (quantile loss only)")
-    p_fit.add_argument("--q", type=int, choices=[1, 2], default=2,
+    p_fit.add_argument("--q", type=int, choices=[1, 2], default=ProblemSpec.q,
                        help="norm index of the difference penalty")
     p_fit.add_argument("--lambda", dest="lam", type=float,
                        help="tuning parameter (user units; the objective "
@@ -63,16 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--adaptive", action="store_true",
                        help="two-stage fit: plain fused pilot, then "
                             "adaptive weights")
-    p_fit.add_argument("--gamma", type=float, default=1.0,
+    p_fit.add_argument("--gamma", type=float, default=ProblemSpec.gamma,
                        help="adaptive weight exponent")
     p_fit.add_argument("--pilot-lambda", type=float,
                        help="tuning value for the pilot stage (default: "
                             "fused schedule)")
-    p_fit.add_argument("--fusion-tol", type=float, default=1e-6)
+    p_fit.add_argument("--fusion-tol", type=float, default=DEFAULT_FUSION_TOL)
     p_fit.add_argument("--standardize", action="store_true",
                        help="center and scale covariate columns; the "
                             "transform is recorded in the output")
-    p_fit.add_argument("--max-iter", type=int, default=10000)
+    p_fit.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_fit.add_argument("--out", required=True, help="result JSON path")
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario grid")
@@ -80,9 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--runs", type=int,
                        help="override the number of Monte Carlo runs")
-    p_sim.add_argument("--workers", type=int,
-                       help=f"parallel replications (default: "
-                            f"$GROUPFUSE_THREADS or 1)")
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="parallel replication processes (default: 1)")
 
     p_plot = sub.add_parser("plotdata",
                             help="flatten a fit result into plot-ready CSV")
@@ -127,8 +125,11 @@ def cmd_fit(args) -> int:
                                lam=lam, weight_mode="adaptive",
                                gamma=args.gamma, pilot=pilot.beta)
             result = fit(design, spec, replace(cfg, warm_start=pilot.beta))
+            pilot_info = {"converged": pilot.converged,
+                          "iterations": pilot.iterations,
+                          "objective": pilot.objective}
         else:
-            pilot_lam = None
+            pilot_lam = pilot_info = None
             spec = ProblemSpec(loss=args.loss, tau=args.tau, q=args.q,
                                lam=lam)
             result = fit(design, spec, cfg)
@@ -172,6 +173,7 @@ def cmd_fit(args) -> int:
             "primal_residual": result.primal_residual,
             "dual_residual": result.dual_residual,
             "overparameterized": result.overparameterized,
+            "pilot": pilot_info,
         },
         "standardize": standardize_info,
     }
@@ -193,18 +195,19 @@ def cmd_simulate(args) -> int:
             return _fail("--runs must be at least 1")
         scenarios = [replace(s, M=args.runs) for s in scenarios]
 
-    workers = resolve_workers(args.workers)
+    if args.workers < 1:
+        return _fail("--workers must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     reports = []
     for spec in scenarios:
-        reports.append(run_monte_carlo(spec, workers=workers))
+        reports.append(run_monte_carlo(spec, workers=args.workers))
     write_report_csv(reports, os.path.join(args.out, "report.csv"))
     write_report_json(reports, os.path.join(args.out, "report.json"))
 
     print(format_table(reports))
     total = sum(rep.wall_time for rep in reports)
     print(f"{len(reports)} scenario(s) in {total:.1f}s "
-          f"({workers} worker(s)); reports in {args.out}")
+          f"({args.workers} worker(s)); reports in {args.out}")
     return 0
 
 

@@ -1,15 +1,14 @@
-"""Pointwise loss machinery: check-function values, proximal maps, gradients.
+"""The quantile check function and its proximal map.
 
 The quantile check function is rho_tau(u) = u * (tau - 1{u < 0}); tau = 0.5
-gives half the absolute deviation.  The solver only needs values, the LS
-gradient, and the two proximal maps, so no autodiff surface is exposed.
+gives half the absolute deviation.  The objective needs its values and the
+solver its prox; the LS loss needs neither, since the solver absorbs the
+quadratic into its b-update.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .model import GroupedCoefficients, GroupedDesign, check_shapes
 
 
 def _validate_tau(tau) -> None:
@@ -47,35 +46,3 @@ def prox_check(v, alpha: float, tau: float):
     out = np.where(arr > hi, arr - hi, np.where(arr < lo, arr - lo, 0.0))
     return float(out) if np.isscalar(v) or arr.ndim == 0 else out
 
-
-def _indicator_integral(x, y):
-    # closed form of int_0^y (1{x <= v} - 1{x <= 0}) dv, by case analysis on
-    # the sign ordering of 0, y, x
-    return np.where(x > 0, np.maximum(y - x, 0.0), np.maximum(x - y, 0.0))
-
-
-def knight_identity_gap(x, y, tau: float):
-    """|LHS - RHS| of the exact check-function decomposition
-
-        rho_tau(x - y) - rho_tau(x) = y (1{x<0} - tau)
-                                      + int_0^y (1{x<=v} - 1{x<=0}) dv,
-
-    with the integral evaluated in closed form.  Exposed purely as a
-    self-check of the case analysis; the gap must vanish to rounding error
-    for all finite inputs.
-    """
-    _validate_tau(tau)
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    lhs = check_value(xa - ya, tau) - check_value(xa, tau)
-    rhs = ya * ((xa < 0) - tau) + _indicator_integral(xa, ya)
-    out = np.abs(lhs - rhs)
-    scalar = np.isscalar(x) and np.isscalar(y)
-    return float(out) if scalar or out.ndim == 0 else out
-
-
-def ls_residual_gradient(design: GroupedDesign,
-                         beta: GroupedCoefficients) -> np.ndarray:
-    """Gradient of sum_i (y_i - x_i' beta)^2, i.e. -2 X'(y - X beta)."""
-    check_shapes(design, beta)
-    return -2.0 * design.X.T @ (design.y - design.X @ beta.flat)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import losses, penalties
+
 
 class DimensionMismatchError(ValueError):
     """Coefficient blocks do not line up with a design's group structure."""
@@ -120,10 +122,6 @@ class GroupedDesign:
         """Total number of parameters, g*p."""
         return self.g * self.p
 
-    def group_covariates(self, i: int, j: int) -> np.ndarray:
-        """The p-subvector of covariates for observation ``i``, group ``j`` (0-based)."""
-        return self.X[i, j * self.p:(j + 1) * self.p]
-
 
 def check_shapes(design: GroupedDesign, beta: GroupedCoefficients) -> None:
     """Raise :class:`DimensionMismatchError` naming the offending block."""
@@ -189,8 +187,6 @@ class ProblemSpec:
 
     def pair_weights(self, n: int, g: int) -> np.ndarray:
         """Length-(g-1) positive weights for the successive-difference pairs."""
-        from . import penalties
-
         if self.weight_mode == "uniform":
             return np.ones(max(g - 1, 0))
         if self.pilot.g != g:
@@ -233,8 +229,6 @@ class FitResult:
 
 def loss_value(residuals: np.ndarray, spec: ProblemSpec) -> float:
     """Unpenalized loss of a residual vector under ``spec``."""
-    from . import losses
-
     residuals = np.asarray(residuals, dtype=float)
     if spec.loss == "quantile":
         return float(np.sum(losses.check_value(residuals, spec.tau)))
@@ -243,13 +237,13 @@ def loss_value(residuals: np.ndarray, spec: ProblemSpec) -> float:
 
 def objective(design: GroupedDesign, spec: ProblemSpec,
               beta: GroupedCoefficients) -> float:
-    """Penalized objective: loss plus ``n * lam * sum_j w_j ||b_j - b_{j-1}||_q``."""
-    from . import penalties
+    """Penalized objective: loss plus ``n * lam * sum_j w_j ||b_j - b_{j-1}||_q``.
 
+    At g = 1 there are no pairs and the penalty is an empty sum, 0.
+    """
     check_shapes(design, beta)
+    n = design.n
     resid = design.y - design.X @ beta.flat
-    pen = penalties.FusedPenalty(
-        q=spec.q, lam=spec.lam,
-        weights=spec.pair_weights(design.n, design.g),
-    )
-    return loss_value(resid, spec) + penalties.penalty_value(pen, beta, design.n)
+    weights = spec.pair_weights(n, design.g)
+    norms = penalties.block_norms(beta.successive_differences(), spec.q)
+    return loss_value(resid, spec) + float(n * spec.lam * (weights @ norms))

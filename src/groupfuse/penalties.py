@@ -1,4 +1,4 @@
-"""Fused penalty over successive group differences and its proximal machinery.
+"""Pieces of the fused penalty: block norms, adaptive weights, block prox.
 
 The penalty is n * lam * sum_{j=2}^{g} w_j * ||b_j - b_{j-1}||_q with q in
 {1, 2}.  Uniform mode sets every w_j = 1; adaptive mode builds the weights
@@ -8,32 +8,7 @@ less and identical pilot pairs get the maximal weight sqrt(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class FusedPenalty:
-    """Norm index, tuning value, and per-pair positive weights."""
-
-    q: int
-    lam: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.q not in (1, 2):
-            raise ValueError(f"q must be 1 or 2, got {self.q}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("weights must be a 1-D array")
-        if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
-            raise ValueError("weights must be strictly positive and finite")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 def block_norms(diffs: np.ndarray, q: int) -> np.ndarray:
@@ -41,19 +16,6 @@ def block_norms(diffs: np.ndarray, q: int) -> np.ndarray:
     if q == 1:
         return np.abs(diffs).sum(axis=1)
     return np.sqrt((diffs ** 2).sum(axis=1))
-
-
-def penalty_value(pen: FusedPenalty, beta, n: int) -> float:
-    """n * lam * sum of weighted block norms of successive differences."""
-    g = beta.g
-    if g == 1:
-        return 0.0
-    if pen.weights.size != g - 1:
-        raise ValueError(
-            f"penalty carries {pen.weights.size} weights, need g-1={g - 1}"
-        )
-    norms = block_norms(beta.successive_differences(), pen.q)
-    return float(n * pen.lam * (pen.weights @ norms))
 
 
 def adaptive_weights(pilot, n: int, gamma: float) -> np.ndarray:
@@ -92,8 +54,3 @@ def prox_block_norms(V: np.ndarray, kappas: np.ndarray, q: int) -> np.ndarray:
     np.divide(norms - k, norms, out=scale, where=norms > k)
     return scale * V
 
-
-def prox_block_norm(v: np.ndarray, kappa: float, q: int) -> np.ndarray:
-    """Prox of kappa * ||.||_q for a single p-vector."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return prox_block_norms(v[None, :], np.array([kappa]), q)[0]

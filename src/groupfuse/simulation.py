@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import csv
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,8 +30,6 @@ from .model import GroupedCoefficients, GroupedDesign, ProblemSpec
 from .solver import SolverConfig, default_schedules, fit
 
 ESTIMATORS = ("fused_ls", "adaptive_ls", "fused_quantile", "adaptive_quantile")
-
-THREADS_ENV_VAR = "GROUPFUSE_THREADS"
 
 # Monte Carlo default: residuals at 1e-4 relative leave objective errors far
 # below the Monte Carlo noise floor while cutting iteration counts several-fold
@@ -232,16 +229,11 @@ def _replication(spec: ScenarioSpec, cfg: SolverConfig, m: int
     return out
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-
-
-def run_monte_carlo(spec: ScenarioSpec, workers: int | None = None,
+def run_monte_carlo(spec: ScenarioSpec, workers: int = 1,
                     solver_cfg: SolverConfig | None = None) -> McReport:
     """Run the four-estimator protocol over M replications and aggregate.
 
+    ``workers`` above 1 runs the replications in a process pool.
     Deterministic given the scenario seed: replication m draws from the
     substream ``default_rng((seed, m))`` and aggregation sums in replication
     order, so the report does not depend on ``workers``.
@@ -249,14 +241,13 @@ def run_monte_carlo(spec: ScenarioSpec, workers: int | None = None,
     if spec.n_changes < 1:
         raise ValueError("scenario needs at least one true change to score")
     cfg = solver_cfg if solver_cfg is not None else MC_SOLVER_CONFIG
-    nworkers = resolve_workers(workers)
     task = partial(_replication, spec, cfg)
 
     start = time.perf_counter()
-    if nworkers == 1 or spec.M == 1:
+    if workers <= 1 or spec.M == 1:
         per_run = [task(m) for m in range(spec.M)]
     else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_run = list(pool.map(task, range(spec.M)))
     wall = time.perf_counter() - start
 

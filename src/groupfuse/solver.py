@@ -112,16 +112,15 @@ class DiffOperator:
         out[1:] += Dm
         return out.ravel()
 
-    def dense(self) -> np.ndarray:
-        first_diff = np.zeros((self.g - 1, self.g))
-        idx = np.arange(self.g - 1)
-        first_diff[idx, idx] = -1.0
-        first_diff[idx, idx + 1] = 1.0
-        return np.kron(first_diff, np.eye(self.p))
-
     def gram(self) -> np.ndarray:
-        D = self.dense()
-        return D.T @ D
+        """D'D in closed form: the path-graph Laplacian (x) I_p."""
+        G = np.zeros((self.cols, self.cols))
+        i = np.arange(self.rows)
+        # difference row i pairs column i with column i + p
+        G[i, i] += 1.0
+        G[i + self.p, i + self.p] += 1.0
+        G[i, i + self.p] = G[i + self.p, i] = -1.0
+        return G
 
 
 def _factorize(M: np.ndarray):

@@ -1,4 +1,10 @@
-"""Shared test oracles, independent of the library code paths they check."""
+"""Shared test oracles, independent of the library code paths they check.
+
+Besides the numeric oracles and the brute-force fit, this module holds the
+closed-form check-function identity (``knight_identity_gap``), the LS
+gradient (``ls_residual_gradient``) and the dense difference matrix
+(``dense_diff_matrix``): references the tests need and the package does not.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +15,9 @@ import scipy.optimize
 from scipy.integrate import quad
 
 from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
-                       SolverError, fit)
+                       SolverError, check_value, fit)
 from groupfuse.detection import score_detection
+from groupfuse.model import check_shapes
 from groupfuse.simulation import ScenarioSpec, generate_instance
 from groupfuse.solver import default_schedules
 
@@ -56,6 +63,46 @@ def knight_integral_quad(x: float, y: float) -> float:
     val, _ = quad(indicator, 0.0, y,
                   points=[x] if interior else None, limit=200)
     return val
+
+
+def _indicator_integral(x, y):
+    # closed form of int_0^y (1{x <= v} - 1{x <= 0}) dv, by case analysis on
+    # the sign ordering of 0, y, x
+    return np.where(x > 0, np.maximum(y - x, 0.0), np.maximum(x - y, 0.0))
+
+
+def knight_identity_gap(x, y, tau: float):
+    """|LHS - RHS| of the exact check-function decomposition
+
+        rho_tau(x - y) - rho_tau(x) = y (1{x<0} - tau)
+                                      + int_0^y (1{x<=v} - 1{x<=0}) dv,
+
+    with the integral evaluated in closed form.  The gap must vanish to
+    rounding error for all finite inputs; ``check_value`` validates tau.
+    """
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    lhs = check_value(xa - ya, tau) - check_value(xa, tau)
+    rhs = ya * ((xa < 0) - tau) + _indicator_integral(xa, ya)
+    out = np.abs(lhs - rhs)
+    scalar = np.isscalar(x) and np.isscalar(y)
+    return float(out) if scalar or out.ndim == 0 else out
+
+
+def ls_residual_gradient(design: GroupedDesign,
+                         beta: GroupedCoefficients) -> np.ndarray:
+    """Gradient of sum_i (y_i - x_i' beta)^2, i.e. -2 X'(y - X beta)."""
+    check_shapes(design, beta)
+    return -2.0 * design.X.T @ (design.y - design.X @ beta.flat)
+
+
+def dense_diff_matrix(g: int, p: int) -> np.ndarray:
+    """The ((g-1)*p) x (g*p) successive-difference matrix, built densely."""
+    first_diff = np.zeros((g - 1, g))
+    idx = np.arange(g - 1)
+    first_diff[idx, idx] = -1.0
+    first_diff[idx, idx + 1] = 1.0
+    return np.kron(first_diff, np.eye(p))
 
 
 def central_differences(f, x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groupfuse
 from groupfuse.cli import main
 from groupfuse.datasets import (DatasetError, infer_groups, load_dataset,
                                 load_group_map, standardize_columns,
@@ -186,6 +191,24 @@ def test_cmd_fit_nonconvergence_exit_2(tmp_path):
     assert payload["diagnostics"]["iterations"] == 2
 
 
+def test_cmd_fit_reports_adaptive_pilot(tmp_path):
+    data = small_csv(tmp_path)
+    out = tmp_path / "fit_pilot.json"
+    code = main(["fit", str(data), "--response", "y", "--loss", "quantile",
+                 "--adaptive", "--auto-lambda", "--max-iter", "2",
+                 "--out", str(out)])
+    assert code == 2
+    pilot = json.loads(out.read_text())["diagnostics"]["pilot"]
+    assert pilot["converged"] is False
+    assert pilot["iterations"] == 2
+    assert np.isfinite(pilot["objective"])
+
+    plain = tmp_path / "fit_plain.json"
+    assert main(["fit", str(data), "--response", "y", "--auto-lambda",
+                 "--out", str(plain)]) == 0
+    assert json.loads(plain.read_text())["diagnostics"]["pilot"] is None
+
+
 def test_cmd_plotdata_round_trip(tmp_path):
     data = small_csv(tmp_path)
     fit_out = tmp_path / "fit.json"
@@ -263,3 +286,22 @@ def test_cmd_simulate_bad_config_exit_1(tmp_path, capsys):
     conf.write_text("nonsense = 42\n")
     assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 1
     assert "line 1" in capsys.readouterr().err
+
+    conf.write_text(SIM_CONF)
+    assert main(["simulate", str(conf), "--out", str(tmp_path / "o"),
+                 "--workers", "0"]) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_import_loads_no_scipy_optimize_or_integrate():
+    # a fresh interpreter, so modules the tests themselves load do not count
+    src = str(Path(groupfuse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, groupfuse, groupfuse.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.strip() == "[]"

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupfuse import GroupedCoefficients, GroupedDesign
-from groupfuse.losses import (check_value, knight_identity_gap,
-                              ls_residual_gradient, prox_check)
-from helpers import central_differences, knight_integral_quad, ternary_min
+from groupfuse.losses import check_value, prox_check
+from helpers import (central_differences, knight_identity_gap,
+                     knight_integral_quad, ls_residual_gradient, ternary_min)
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False)
 taus = st.floats(0.01, 0.99)

@@ -97,6 +97,13 @@ def test_objective_dimension_error_names_block():
     bad_p = GroupedCoefficients.from_flat(np.zeros(2), g=2, p=1)
     with pytest.raises(DimensionMismatchError, match="block 0"):
         objective(design, ProblemSpec(loss="ls", lam=0.0), bad_p)
+    # adaptive weights must count exactly g - 1 pairs
+    pilot = GroupedCoefficients.from_flat(np.zeros(6), g=3, p=2)
+    spec = ProblemSpec(loss="ls", lam=1.0, weight_mode="adaptive",
+                       pilot=pilot)
+    with pytest.raises(DimensionMismatchError, match="pilot"):
+        objective(design, spec, GroupedCoefficients.from_flat(
+            np.zeros(4), g=2, p=2))
 
 
 def test_grouped_design_validation():
@@ -112,13 +119,6 @@ def test_grouped_design_allows_overparameterized():
     # g*p > n is deliberately legal; the solver flags it downstream
     design = GroupedDesign(X=np.ones((2, 6)), y=np.zeros(2), g=3, p=2)
     assert design.r == 6 and design.n == 2
-
-
-def test_group_covariates_accessor():
-    X = np.arange(12.0).reshape(2, 6)
-    design = GroupedDesign(X=X, y=np.zeros(2), g=3, p=2)
-    np.testing.assert_array_equal(design.group_covariates(1, 2),
-                                  np.array([10.0, 11.0]))
 
 
 def test_grouped_coefficients_round_trip_and_immutability():

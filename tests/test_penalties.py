@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupfuse import GroupedCoefficients
-from groupfuse.penalties import (FusedPenalty, adaptive_weights,
-                                 penalty_value, prox_block_norm,
-                                 prox_block_norms)
+from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
+                       objective)
+from groupfuse.penalties import adaptive_weights, prox_block_norms
 from helpers import ternary_min
 
 
@@ -15,36 +14,55 @@ def coeffs(*blocks):
                                      for b in blocks))
 
 
+def penalty(beta, q, lam, n=1, pilot=None):
+    """The penalty as ``objective`` computes it, read off a design whose
+    loss vanishes: n all-zero rows and a zero response.  A pilot makes the
+    weights adaptive (gamma = 1)."""
+    design = GroupedDesign(X=np.zeros((n, beta.g * beta.p)), y=np.zeros(n),
+                           g=beta.g, p=beta.p)
+    mode = "uniform" if pilot is None else "adaptive"
+    spec = ProblemSpec(loss="ls", q=q, lam=lam, weight_mode=mode,
+                       pilot=pilot)
+    return objective(design, spec, beta)
+
+
+def prox_row(v, kappa, q):
+    """The block prox of one row through the batched ``prox_block_norms``."""
+    return prox_block_norms(np.atleast_2d(np.asarray(v, float)), [kappa], q)[0]
+
+
 def test_penalty_value_zero_when_equal():
-    pen = FusedPenalty(q=2, lam=3.0, weights=np.ones(2))
     beta = coeffs([1.0, -2.0], [1.0, -2.0], [1.0, -2.0])
-    assert penalty_value(pen, beta, n=10) == 0.0
+    assert penalty(beta, q=2, lam=3.0, n=10) == 0.0
 
 
 def test_penalty_value_q1_example():
-    pen = FusedPenalty(q=1, lam=1.0, weights=np.ones(2))
-    assert penalty_value(pen, coeffs(1.0, 3.0, 3.0), n=1) == pytest.approx(2.0)
+    assert penalty(coeffs(1.0, 3.0, 3.0), q=1, lam=1.0) == pytest.approx(2.0)
 
 
 def test_penalty_value_q2_weighted_example():
-    pen = FusedPenalty(q=2, lam=2.0, weights=np.array([0.5]))
+    # at n = 1 the pilot difference |2| + |0| = 2 gives the weight 1/2
+    pilot = coeffs([0.0, 0.0], [2.0, 0.0])
     beta = coeffs([0.0, 0.0], [3.0, 4.0])
-    assert penalty_value(pen, beta, n=1) == pytest.approx(5.0)
+    assert penalty(beta, q=2, lam=2.0, pilot=pilot) == pytest.approx(5.0)
 
 
 def test_penalty_value_single_group_is_zero():
-    pen = FusedPenalty(q=1, lam=5.0, weights=np.ones(0))
-    assert penalty_value(pen, coeffs([1.0, 2.0]), n=7) == 0.0
+    assert penalty(coeffs([1.0, 2.0]), q=1, lam=5.0, n=7) == 0.0
+    assert penalty(coeffs([1.0, 2.0]), q=1, lam=5.0, n=7,
+                   pilot=coeffs([0.5, 0.0])) == 0.0
 
 
 def test_penalty_translation_invariance():
     rng = np.random.default_rng(23)
-    pen = FusedPenalty(q=2, lam=0.7, weights=rng.uniform(0.5, 2.0, 3))
+    pilot = GroupedCoefficients(tuple(rng.standard_normal(2)
+                                      for _ in range(4)))
     blocks = [rng.standard_normal(2) for _ in range(4)]
     shift = rng.standard_normal(2)
-    before = penalty_value(pen, GroupedCoefficients(tuple(blocks)), n=5)
-    after = penalty_value(
-        pen, GroupedCoefficients(tuple(b + shift for b in blocks)), n=5)
+    before = penalty(GroupedCoefficients(tuple(blocks)), q=2, lam=0.7, n=5,
+                     pilot=pilot)
+    after = penalty(GroupedCoefficients(tuple(b + shift for b in blocks)),
+                    q=2, lam=0.7, n=5, pilot=pilot)
     assert after == pytest.approx(before, abs=1e-12)
 
 
@@ -78,17 +96,17 @@ def test_adaptive_weights_bounded_and_antitone(d1, d2, gamma, n):
 
 
 def test_prox_block_norm_q2_example():
-    np.testing.assert_allclose(prox_block_norm([3.0, 4.0], 1.0, q=2),
+    np.testing.assert_allclose(prox_row([3.0, 4.0], 1.0, q=2),
                                [2.4, 3.2], atol=1e-12)
 
 
 def test_prox_block_norm_q2_annihilates():
-    np.testing.assert_array_equal(prox_block_norm([0.3, 0.4], 0.5, q=2),
+    np.testing.assert_array_equal(prox_row([0.3, 0.4], 0.5, q=2),
                                   [0.0, 0.0])
 
 
 def test_prox_block_norm_q1_example():
-    np.testing.assert_allclose(prox_block_norm([1.5, -0.2], 0.5, q=1),
+    np.testing.assert_allclose(prox_row([1.5, -0.2], 0.5, q=1),
                                [1.0, 0.0], atol=1e-12)
 
 
@@ -97,7 +115,7 @@ def test_prox_block_norm_q1_matches_componentwise_oracle():
     for _ in range(50):
         v = rng.normal(0.0, 2.0, 3)
         kappa = rng.uniform(0.0, 2.0)
-        got = prox_block_norm(v, kappa, q=1)
+        got = prox_row(v, kappa, q=1)
         for k in range(3):
             obj = lambda z: kappa * abs(z) + 0.5 * (z - v[k]) ** 2
             assert got[k] == pytest.approx(
@@ -115,7 +133,7 @@ def test_prox_block_norm_q2_matches_radial_oracle():
         radial = lambda s: kappa * s + 0.5 * (s - r) ** 2
         s_star = max(ternary_min(radial, 0.0, r + kappa + 1.0), 0.0)
         expected = s_star * v / r if r > 0 else np.zeros(2)
-        np.testing.assert_allclose(prox_block_norm(v, kappa, q=2), expected,
+        np.testing.assert_allclose(prox_row(v, kappa, q=2), expected,
                                    atol=1e-8)
 
 
@@ -124,8 +142,8 @@ def test_prox_block_norm_identity_at_zero_and_shrinks(q):
     rng = np.random.default_rng(41)
     for _ in range(50):
         v = rng.normal(0.0, 3.0, 4)
-        np.testing.assert_array_equal(prox_block_norm(v, 0.0, q), v)
-        out = prox_block_norm(v, rng.uniform(0.0, 2.0), q)
+        np.testing.assert_array_equal(prox_row(v, 0.0, q), v)
+        out = prox_row(v, rng.uniform(0.0, 2.0), q)
         assert np.linalg.norm(out) <= np.linalg.norm(v) + 1e-12
 
 
@@ -137,21 +155,9 @@ def test_prox_block_norms_batched_matches_single():
         batch = prox_block_norms(V, kappas, q)
         for i in range(5):
             np.testing.assert_allclose(batch[i],
-                                       prox_block_norm(V[i], kappas[i], q))
+                                       prox_row(V[i], kappas[i], q))
 
 
 def test_prox_block_norms_rejects_negative_kappa():
     with pytest.raises(ValueError):
-        prox_block_norm([1.0], -0.1, q=1)
-
-
-def test_fused_penalty_validation():
-    with pytest.raises(ValueError, match="positive"):
-        FusedPenalty(q=1, lam=1.0, weights=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="q"):
-        FusedPenalty(q=3, lam=1.0, weights=np.ones(1))
-    with pytest.raises(ValueError, match="lam"):
-        FusedPenalty(q=1, lam=-1.0, weights=np.ones(1))
-    with pytest.raises(ValueError):
-        penalty_value(FusedPenalty(q=1, lam=1.0, weights=np.ones(3)),
-                      coeffs(1.0, 2.0), n=1)
+        prox_block_norms(np.ones((2, 1)), [0.5, -0.1], q=1)

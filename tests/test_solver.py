@@ -6,21 +6,23 @@ from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
                        objective)
 from groupfuse.solver import (DiffOperator, SolverConfig, SolverError,
                               default_schedules, fit)
-from helpers import GridSpec, brute_force_fit, random_tiny_instance
+from helpers import (GridSpec, brute_force_fit, dense_diff_matrix,
+                     random_tiny_instance)
 
 
 @pytest.mark.parametrize("g, p", [(1, 1), (1, 3), (2, 2), (5, 1), (4, 3)])
 def test_diff_operator_matches_dense(g, p):
     rng = np.random.default_rng(g * 10 + p)
     op = DiffOperator(g, p)
-    dense = op.dense()
+    dense = dense_diff_matrix(g, p)
     assert dense.shape == ((g - 1) * p, g * p)
     for _ in range(5):
         v = rng.standard_normal(g * p)
         d = rng.standard_normal((g - 1) * p)
         np.testing.assert_allclose(op.apply(v), dense @ v, atol=1e-12)
         np.testing.assert_allclose(op.adjoint(d), dense.T @ d, atol=1e-12)
-    np.testing.assert_allclose(op.gram(), dense.T @ dense, atol=1e-12)
+    # the closed-form gram is exact: every entry is a small integer
+    np.testing.assert_array_equal(op.gram(), dense.T @ dense)
 
 
 def test_fit_sample_mean():
