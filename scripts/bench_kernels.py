@@ -1,0 +1,93 @@
+"""Time one b-update solve and one ADMM iteration, with one BLAS thread.
+
+    python3 scripts/bench_kernels.py [--src DIR] [--repeat 5]
+
+Imports groupfuse from DIR (default: this checkout's src/), so the same
+script times any other checkout too.  Prints one JSON object:
+
+- ``solve_us``: microseconds per b-update solve through
+  ``solver._factorize`` for r = 20, 100 and 300, on the LS system
+  2 X'X + D'D of a random n = r, p = 1 design;
+- ``iter_us``: microseconds per ADMM iteration of the fused fits, by loss,
+  on the eight desk-grid cells (p = 1, replication m = 0) and on the
+  p = 3, g = 100, two-change Gaussian cell of the full grid, at the Monte
+  Carlo solver settings.  Each is fit time over iterations, so the
+  factorization is included.
+
+Every figure is the best of ``--repeat`` rounds.
+"""
+
+import argparse
+import json
+import os
+import sys
+import timeit
+from pathlib import Path
+from time import perf_counter
+
+# one BLAS thread, set before numpy is first imported
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def solve_us(solver, r: int, repeat: int) -> float:
+    rng = np.random.default_rng(r)
+    X = rng.standard_normal((r, r))
+    solve = solver._factorize(2.0 * (X.T @ X) + solver.DiffOperator(r, 1).gram())
+    rhs = rng.standard_normal(r)
+    number = 2000
+    best = min(timeit.repeat(lambda: solve(rhs), number=number, repeat=repeat))
+    return best / number * 1e6
+
+
+def iter_us(cells, loss: str, repeat: int) -> float:
+    from groupfuse import ProblemSpec
+    from groupfuse.simulation import MC_SOLVER_CONFIG, generate_instance
+    from groupfuse.solver import default_schedules, fit
+    work = []
+    for c in cells:
+        design = generate_instance(c, np.random.default_rng((c.seed, 0)))[0]
+        lam = default_schedules(design.n, "fused")[0]
+        work.append((design, ProblemSpec(loss=loss, tau=c.tau, q=c.q, lam=lam)))
+    best = float("inf")
+    for _ in range(repeat):
+        busy = iters = 0
+        for design, spec in work:
+            t0 = perf_counter()
+            res = fit(design, spec, MC_SOLVER_CONFIG)
+            busy += perf_counter() - t0
+            iters += res.iterations
+        best = min(best, busy / iters * 1e6)
+    return best
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--repeat", type=int, default=5)
+    args = ap.parse_args()
+    sys.path.insert(0, args.src)
+    from groupfuse import solver
+    from groupfuse.simulation import load_scenario_grid
+
+    desk = load_scenario_grid(ROOT / "scripts" / "desk_grid.conf")
+    p3 = [c for c in load_scenario_grid(ROOT / "scripts" / "full_grid.conf")
+          if (c.p, c.g, c.error_dist, c.changes) == (3, 100, "gaussian", 2)]
+    out = {
+        "solve_us": {r: round(solve_us(solver, r, args.repeat), 2)
+                     for r in (20, 100, 300)},
+        "iter_us": {f"{label}.{loss}": round(iter_us(cells, loss,
+                                                     args.repeat), 1)
+                    for label, cells in (("desk", desk), ("p3", p3))
+                    for loss in ("ls", "quantile")},
+    }
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,8 +12,13 @@ import numpy as np
 
 
 def _validate_tau(tau) -> None:
-    arr = np.asarray(tau)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
+    if isinstance(tau, float):
+        # plain comparisons: the solver's per-iteration case
+        ok = 0.0 < tau < 1.0
+    else:
+        arr = np.asarray(tau)
+        ok = np.all((arr > 0.0) & (arr < 1.0))
+    if not ok:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
 
 
@@ -35,14 +40,17 @@ def prox_check(v, alpha: float, tau: float):
 
     Closed form: shift down by alpha*tau above the dead zone, up by
     alpha*(1-tau) below it, zero inside [-alpha*(1-tau), alpha*tau].
-    Both dead-zone boundaries are treated as closed.
+    Both dead-zone boundaries are treated as closed.  ``alpha`` and ``tau``
+    may be arrays broadcasting against ``v``; NaN entries of ``v`` stay NaN.
     """
-    if not np.all(np.asarray(alpha) > 0):
+    if not (alpha > 0.0 if isinstance(alpha, float)
+            else np.all(np.asarray(alpha) > 0)):
         raise ValueError("alpha must be positive")
     _validate_tau(tau)
     arr = np.asarray(v, dtype=float)
     hi = alpha * tau
     lo = -alpha * (1.0 - tau)
-    out = np.where(arr > hi, arr - hi, np.where(arr < lo, arr - lo, 0.0))
-    return float(out) if np.isscalar(v) or arr.ndim == 0 else out
-
+    # v minus its clip to the dead zone: v - hi above, v - lo below, and
+    # v - v = +0.0 inside, bit for bit the three-branch form
+    out = arr - np.minimum(np.maximum(arr, lo), hi)
+    return float(out) if arr.ndim == 0 else out

@@ -13,9 +13,10 @@ import numpy as np
 
 def block_norms(diffs: np.ndarray, q: int) -> np.ndarray:
     """Row-wise L_q norms of a (m, p) array of difference blocks."""
-    if q == 1:
-        return np.abs(diffs).sum(axis=1)
-    return np.sqrt((diffs ** 2).sum(axis=1))
+    terms = np.abs(diffs) if q == 1 else diffs ** 2
+    # a row sum over one column is that column, bit for bit
+    sums = terms[:, 0] if terms.shape[1] == 1 else terms.sum(axis=1)
+    return sums if q == 1 else np.sqrt(sums)
 
 
 def adaptive_weights(pilot, n: int, gamma: float) -> np.ndarray:
@@ -42,15 +43,16 @@ def prox_block_norms(V: np.ndarray, kappas: np.ndarray, q: int) -> np.ndarray:
     """
     V = np.asarray(V, dtype=float)
     kappas = np.asarray(kappas, dtype=float)
-    if np.any(kappas < 0):
+    if (kappas < 0).any():
         raise ValueError("kappa must be nonnegative")
     if V.shape[0] == 0:
         return V.copy()
     k = kappas[:, None]
     if q == 1:
         return np.sign(V) * np.maximum(np.abs(V) - k, 0.0)
-    norms = np.sqrt((V ** 2).sum(axis=1, keepdims=True))
-    scale = np.zeros_like(norms)
+    sq = V ** 2
+    norms = np.sqrt(sq if V.shape[1] == 1 else sq.sum(axis=1, keepdims=True))
+    scale = np.zeros(norms.shape)
     np.divide(norms - k, norms, out=scale, where=norms > k)
     return scale * V
 

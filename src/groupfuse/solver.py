@@ -13,6 +13,10 @@ scale), which keeps the dual variables O(1) even when the per-pair penalty
 weights are large; the ratio c is fixed per fit so the cached factorization
 of the b-update system survives residual-balancing changes to rho.
 
+The b-update system is Cholesky-factored once (for the LS loss, again
+whenever balancing changes rho), and every iteration solves on the cached
+factor through LAPACK ``potrs``, with no per-call checks of the factor.
+
 The recorded merit per outer iteration is the true objective of the
 incumbent (best-so-far) iterate, which is also what gets returned.
 
@@ -21,6 +25,7 @@ The default tuning schedules live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,15 +107,17 @@ class DiffOperator:
         self.cols = g * p
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        B = np.asarray(v).reshape(self.g, self.p)
-        return (B[1:] - B[:-1]).ravel()
+        v = np.asarray(v).reshape(self.cols)
+        # group j occupies entries [j*p, (j+1)*p), so block differences are
+        # one shifted subtraction
+        return v[self.p:] - v[:self.rows]
 
     def adjoint(self, d: np.ndarray) -> np.ndarray:
-        Dm = np.asarray(d).reshape(self.g - 1, self.p)
-        out = np.zeros((self.g, self.p))
-        out[:-1] -= Dm
-        out[1:] += Dm
-        return out.ravel()
+        d = np.asarray(d).reshape(self.rows)
+        out = np.zeros(self.cols)
+        out[:self.rows] -= d
+        out[self.p:] += d
+        return out
 
     def gram(self) -> np.ndarray:
         """D'D in closed form: the path-graph Laplacian (x) I_p."""
@@ -124,14 +131,27 @@ class DiffOperator:
 
 
 def _factorize(M: np.ndarray):
+    """Factor the b-update system once; return its solve.
+
+    Each right-hand side goes straight to LAPACK ``potrs`` on the cached
+    Cholesky factor, the routine ``scipy.linalg.cho_solve`` calls, so the
+    bits are the same without its per-call finiteness scan of the factor.
+    """
     try:
-        chol = scipy.linalg.cho_factor(M)
-        return lambda rhs: scipy.linalg.cho_solve(chol, rhs)
+        c, lower = scipy.linalg.cho_factor(M)
     except scipy.linalg.LinAlgError:
         # singular system (e.g. an all-zero design); the minimum-norm
         # solution still minimizes the b-subproblem
         pinv = np.linalg.pinv(M)
         return lambda rhs: pinv @ rhs
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
+
+    def solve(rhs):
+        x, info = potrs(c, rhs, lower=lower)
+        if info != 0:
+            raise SolverError(f"potrs rejected argument {-info}")
+        return x
+    return solve
 
 
 def _problem_key(design: GroupedDesign, spec: ProblemSpec,
@@ -226,13 +246,20 @@ def _accepts(rnorm, snorm, eps_pri, eps_dual, donor) -> bool:
     return False
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm of a 1-D float array is exactly sqrt(v.dot(v))
+    return math.sqrt(v @ v)
+
+
 def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
           kappa: np.ndarray) -> FitResult:
     """The splitting loop for either loss.
 
     The losses differ only in the setup, the b-update right-hand side, the
     residual mirror (zr, ur) of the check loss, the stopping norms and the
-    rescale on a rho change; the rest is shared.
+    rescale on a rho change; the rest is shared.  Everything that depends
+    only on rho (the difference rate and both prox thresholds) is computed
+    when rho changes, not per iteration.
     """
     n, g, p = design.n, design.g, design.p
     X, y = design.X, design.y
@@ -240,7 +267,8 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     D = DiffOperator(g, p)
     md = D.rows
     ls = spec.loss == "ls"
-    tau = spec.tau
+    tau, q = spec.tau, spec.q
+    max_iter, tol_rel = cfg.max_iter, cfg.tol_rel
     key = _problem_key(design, spec, kappa)
     gram_d = D.gram()
     kappa_med = float(np.median(kappa)) if md else 0.0
@@ -250,17 +278,20 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         # the difference duals crawl, and the data-scale factor keeps rho
         # dimensionless
         rho_scale, c_ratio = max(1.0, kappa_med), 1.0
-        sqrt_pri = np.sqrt(max(md, 1))
+        sqrt_pri = math.sqrt(max(md, 1))
         XtX2, Xty2 = 2.0 * (Xt @ X), 2.0 * (Xt @ y)
     else:
         # rate ratio between the difference and residual blocks: the check
         # subgradients are O(1) while the difference duals are O(kappa)
         rho_scale = 1.0
         c_ratio = max(1.0, kappa_med / max(tau, 1.0 - tau))
-        sqrt_pri = np.sqrt(n + md)
-        norm_y = np.linalg.norm(y)
+        sqrt_pri = math.sqrt(n + md)
+        norm_y = _norm(y)
         solve = _factorize(Xt @ X + c_ratio * gram_d)
-    sqrt_dual = np.sqrt(g * p)
+    # the rho-free parts of the stopping thresholds
+    abs_pri = sqrt_pri * cfg.tol_abs
+    abs_dual = math.sqrt(g * p) * cfg.tol_abs
+    step_rel = 0.1 * tol_rel
 
     beta0, zr, zd, ur, ud, rho, donor = _warm_arrays(cfg, key, design, D,
                                                      need_zr=not ls)
@@ -268,13 +299,15 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         rho = RHO_INIT * rho_scale
     if ls:
         solve = _factorize(XtX2 + rho * gram_d)
+    rho_d = rho * c_ratio
+    kappa_rho, alpha_check = kappa / rho_d, 1.0 / rho
 
     def merit(resid, Db):
         pen = float(kappa @ penalties.block_norms(
-            Db.reshape(g - 1, p), spec.q)) if md else 0.0
+            Db.reshape(g - 1, p), q)) if md else 0.0
         if ls:
             return float(resid @ resid) + pen
-        return float(np.sum(resid * (tau - (resid < 0)))) + pen
+        return float((resid * (tau - (resid < 0))).sum()) + pen
 
     inc = _Incumbent()
     if beta0 is not None:
@@ -282,56 +315,55 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         Db0 = D.apply(beta0)
         inc.seed(merit(y - X @ beta0, Db0), beta0, Db0)
     alpha = OVER_RELAX
+    keep = 1.0 - alpha
     converged = False
     rnorm = snorm = 0.0
     it = 0
-    for it in range(1, cfg.max_iter + 1):
-        rho_d = rho * c_ratio
+    for it in range(1, max_iter + 1):
         if ls:
             rhs = Xty2 + rho * D.adjoint(zd - ud)
         else:
-            rhs = Xt @ (y - zr - ur) + c_ratio * D.adjoint(zd - ud)
+            y_zr = y - zr
+            rhs = Xt @ (y_zr - ur) + c_ratio * D.adjoint(zd - ud)
         beta = solve(rhs)
-        if not np.all(np.isfinite(beta)):
+        if not np.isfinite(beta).all():
             raise SolverError(f"non-finite iterate at iteration {it}")
         Xb = X @ beta
         Db = D.apply(beta)
-        Db_r = alpha * Db + (1.0 - alpha) * zd
+        Db_r = alpha * Db + keep * zd
         zd_old = zd
         if md:
             zd = penalties.prox_block_norms(
-                (Db_r + ud).reshape(g - 1, p), kappa / rho_d, spec.q).ravel()
+                (Db_r + ud).reshape(g - 1, p), kappa_rho, q).ravel()
         ud = ud + (Db_r - zd)
         dzd = zd - zd_old
         if not ls:
-            Xb_r = alpha * Xb + (1.0 - alpha) * (y - zr)
+            Xb_r = alpha * Xb + keep * y_zr
             zr_old = zr
-            zr = prox_check(y - Xb_r - ur, 1.0 / rho, tau)
+            zr = prox_check(y - Xb_r - ur, alpha_check, tau)
             ur = ur + (Xb_r + zr - y)
             dzr = zr - zr_old
         inc.update(merit(y - Xb, Db), beta, zd)
 
         if ls:
-            rnorm = np.linalg.norm(Db - zd)
-            snorm = rho * np.linalg.norm(D.adjoint(dzd))
-            step = np.linalg.norm(dzd)
-            pri_scale = step_scale = max(np.linalg.norm(Db),
-                                         np.linalg.norm(zd))
-            dual_scale = max(rho * np.linalg.norm(D.adjoint(ud)),
-                             np.linalg.norm(Xty2 - XtX2 @ beta))
+            rnorm = _norm(Db - zd)
+            snorm = rho * _norm(D.adjoint(dzd))
+            step = _norm(dzd)
+            pri_scale = step_scale = max(_norm(Db), _norm(zd))
+            dual_scale = max(rho * _norm(D.adjoint(ud)),
+                             _norm(Xty2 - XtX2 @ beta))
         else:
             pri_r, pri_d = Xb + zr - y, Db - zd
-            rnorm = np.sqrt(pri_r @ pri_r + pri_d @ pri_d)
-            snorm = np.linalg.norm(rho * (Xt @ dzr) - rho_d * D.adjoint(dzd))
-            step = np.sqrt(dzr @ dzr + dzd @ dzd)
-            step_scale = max(np.sqrt(zr @ zr + zd @ zd), norm_y)
-            pri_scale = max(np.sqrt(Xb @ Xb + Db @ Db), step_scale)
-            dual_scale = max(rho * np.linalg.norm(Xt @ ur),
-                             rho_d * np.linalg.norm(D.adjoint(ud)))
-        eps_pri = sqrt_pri * cfg.tol_abs + cfg.tol_rel * pri_scale
-        eps_dual = sqrt_dual * cfg.tol_abs + cfg.tol_rel * dual_scale
-        step_tol = sqrt_pri * cfg.tol_abs + \
-            0.1 * cfg.tol_rel * max(step_scale, 1e-12)
+            rnorm = math.sqrt(pri_r @ pri_r + pri_d @ pri_d)
+            snorm = _norm(rho * (Xt @ dzr) - rho_d * D.adjoint(dzd))
+            step = math.sqrt(dzr @ dzr + dzd @ dzd)
+            step_scale = max(math.sqrt(zr @ zr + zd @ zd), norm_y)
+            pri_scale = max(math.sqrt(Xb @ Xb + Db @ Db), step_scale)
+            dual_scale = max(rho * _norm(Xt @ ur),
+                             rho_d * _norm(D.adjoint(ud)))
+        eps_pri = abs_pri + tol_rel * pri_scale
+        eps_dual = abs_dual + tol_rel * dual_scale
+        step_tol = abs_pri + step_rel * max(step_scale, 1e-12)
         if _accepts(rnorm, snorm, eps_pri, eps_dual, donor) or \
                 (rnorm <= step_tol and step <= step_tol):
             converged = True
@@ -350,6 +382,8 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
                 else:
                     ur = ur * (rho / new_rho)
                 rho = new_rho
+                rho_d = rho * c_ratio
+                kappa_rho, alpha_check = kappa / rho_d, 1.0 / rho
 
     state = _WarmState(zr=zr, zd=zd, ur=ur, ud=ud, rho=rho,
                        problem_key=key, stop_primal=float(rnorm),

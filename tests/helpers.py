@@ -105,6 +105,14 @@ def dense_diff_matrix(g: int, p: int) -> np.ndarray:
     return np.kron(first_diff, np.eye(p))
 
 
+def prox_check_where(v, alpha, tau):
+    """The check-function prox in its three-branch form, as arrays."""
+    arr = np.asarray(v, dtype=float)
+    hi = alpha * tau
+    lo = -alpha * (1.0 - tau)
+    return np.where(arr > hi, arr - hi, np.where(arr < lo, arr - lo, 0.0))
+
+
 def central_differences(f, x: np.ndarray) -> np.ndarray:
     """Gradient oracle with per-coordinate steps 1e-6 * (1 + |x_k|)."""
     grad = np.empty_like(x, dtype=float)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from groupfuse import GroupedCoefficients, GroupedDesign
 from groupfuse.losses import check_value, prox_check
 from helpers import (central_differences, knight_identity_gap,
-                     knight_integral_quad, ls_residual_gradient, ternary_min)
+                     knight_integral_quad, ls_residual_gradient,
+                     prox_check_where, ternary_min)
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False)
 taus = st.floats(0.01, 0.99)
@@ -114,6 +115,40 @@ def test_prox_check_firmly_nonexpansive(v1, v2, alpha, tau):
 def test_prox_check_requires_positive_alpha():
     with pytest.raises(ValueError):
         prox_check(1.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, -0.25, 1.5, float("nan")])
+def test_prox_check_rejects_scalar_tau_outside_unit_interval(tau):
+    with pytest.raises(ValueError, match="tau"):
+        prox_check(np.zeros(3), 0.5, tau)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prox_check_bitwise_matches_where_form(seed):
+    rng = np.random.default_rng(seed)
+    alpha, tau = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.05, 0.95))
+    hi, lo = alpha * tau, -alpha * (1.0 - tau)
+    special = [hi, lo, np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf),
+               np.nextafter(hi, 0.0), np.nextafter(lo, 0.0),
+               0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300]
+    v = np.concatenate([special, rng.standard_normal(500) * alpha,
+                        rng.standard_cauchy(500)])
+    alphas = rng.uniform(0.1, 3.0, v.size)
+    taus = rng.uniform(0.05, 0.95, v.size)
+    for a, t in ((alpha, tau), (alphas, tau), (alpha, taus), (alphas, taus)):
+        out = prox_check(v, a, t)
+        assert out.tobytes() == prox_check_where(v, a, t).tobytes()
+    # scalar in, scalar out, with the same bits
+    for x in special:
+        assert np.float64(prox_check(x, alpha, tau)).tobytes() == \
+            prox_check_where(x, alpha, tau).tobytes()
+
+
+def test_prox_check_nan_in_nan_out():
+    out = prox_check(np.array([np.nan, 2.0, 0.1, -2.0]), 1.0, 0.5)
+    assert np.isnan(out[0])
+    np.testing.assert_array_equal(out[1:], [1.5, 0.0, -1.5])
+    assert np.isnan(prox_check(np.nan, 1.0, 0.5))
 
 
 def test_ls_gradient_zero_at_exact_fit():

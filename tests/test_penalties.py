@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
                        objective)
-from groupfuse.penalties import adaptive_weights, prox_block_norms
+from groupfuse.penalties import (adaptive_weights, block_norms,
+                                 prox_block_norms)
 from helpers import ternary_min
 
 
@@ -156,6 +157,24 @@ def test_prox_block_norms_batched_matches_single():
         for i in range(5):
             np.testing.assert_allclose(batch[i],
                                        prox_row(V[i], kappas[i], q))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_block_norms_bitwise_match_row_sums(p):
+    # at p = 1 the row sum is skipped; the bits must not change
+    rng = np.random.default_rng(47)
+    V = rng.standard_cauchy((60, p))
+    V[:5] = 0.0
+    V[5:10] = -0.0
+    kappas = rng.uniform(0.0, 2.0, 60)
+    assert block_norms(V, 1).tobytes() == np.abs(V).sum(axis=1).tobytes()
+    sq = (V ** 2).sum(axis=1, keepdims=True)
+    assert block_norms(V, 2).tobytes() == np.sqrt(sq[:, 0]).tobytes()
+    norms = np.sqrt(sq)
+    scale = np.zeros_like(norms)
+    np.divide(norms - kappas[:, None], norms, out=scale,
+              where=norms > kappas[:, None])
+    assert prox_block_norms(V, kappas, 2).tobytes() == (scale * V).tobytes()
 
 
 def test_prox_block_norms_rejects_negative_kappa():

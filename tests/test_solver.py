@@ -4,6 +4,7 @@ import scipy.linalg
 
 from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
                        objective)
+from groupfuse import solver
 from groupfuse.solver import (DiffOperator, SolverConfig, SolverError,
                               default_schedules, fit)
 from helpers import (GridSpec, brute_force_fit, dense_diff_matrix,
@@ -170,8 +171,8 @@ def test_non_convergence_reports_flag_not_exception():
 
 
 def test_nan_iterate_raises_named_iteration(monkeypatch):
-    bad = lambda *args, **kwargs: np.full(2, np.nan)
-    monkeypatch.setattr(scipy.linalg, "cho_solve", bad)
+    bad = lambda M: (lambda rhs: np.full(2, np.nan))
+    monkeypatch.setattr(solver, "_factorize", bad)
     with pytest.raises(SolverError, match="iteration 1"):
         fit(two_group_design(), ProblemSpec(loss="ls", q=1, lam=0.5))
 
@@ -192,6 +193,31 @@ def test_fit_handles_all_zero_design():
                            g=1, p=1)
     result = fit(design, ProblemSpec(loss="ls", lam=0.0))
     assert np.isfinite(result.objective)
+
+
+@pytest.mark.parametrize("r", [1, 20, 100])
+def test_factorize_solve_matches_cho_solve_bitwise(r):
+    rng = np.random.default_rng(r)
+    A = rng.standard_normal((r + 3, r))
+    M = A.T @ A + DiffOperator(r, 1).gram()
+    solve = solver._factorize(M)
+    chol = scipy.linalg.cho_factor(M)
+    for _ in range(3):
+        rhs = rng.standard_normal(r)
+        kept = rhs.copy()
+        x = solve(rhs)
+        assert x.tobytes() == scipy.linalg.cho_solve(chol, rhs).tobytes()
+        # the right-hand side is left as it was
+        assert rhs.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("M", [np.zeros((3, 3)), np.ones((2, 2))])
+def test_factorize_singular_system_takes_pinv_path(M):
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cho_factor(M)
+    rhs = np.arange(1.0, M.shape[0] + 1.0)
+    x = solver._factorize(M)(rhs)
+    assert x.tobytes() == (np.linalg.pinv(M) @ rhs).tobytes()
 
 
 def test_brute_force_matches_lstsq_unpenalized():
