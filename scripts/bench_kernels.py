@@ -1,12 +1,13 @@
-"""Time one b-update solve and one ADMM iteration, with one BLAS thread.
+"""Time b-update factorizations, solves and ADMM iterations, one BLAS thread.
 
     python3 scripts/bench_kernels.py [--src DIR] [--repeat 5]
 
 Imports groupfuse from DIR (default: this checkout's src/), so the same
 script times any other checkout too.  Prints one JSON object:
 
-- ``solve_us``: microseconds per b-update solve through
-  ``solver._factorize`` for r = 20, 100 and 300, on the LS system
+- ``factor_ms``: milliseconds per ``solver._factorize`` call, and
+  ``solve_us``: microseconds per solve through the callable it returns,
+  for r = 20, 48 (the air dataset's g * p), 100 and 300, on the LS system
   2 X'X + D'D of a random n = r, p = 1 design;
 - ``iter_us``: microseconds per ADMM iteration of the fused fits, by loss,
   on the eight desk-grid cells (p = 1, replication m = 0) and on the
@@ -34,11 +35,25 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
+SIZES = (20, 48, 100, 300)
+
+
+def ls_system(solver, r: int) -> np.ndarray:
+    X = np.random.default_rng(r).standard_normal((r, r))
+    return 2.0 * (X.T @ X) + solver.DiffOperator(r, 1).gram()
+
+
+def factor_ms(solver, r: int, repeat: int) -> float:
+    M = ls_system(solver, r)
+    number = 200 if r <= 100 else 20
+    best = min(timeit.repeat(lambda: solver._factorize(M), number=number,
+                             repeat=repeat))
+    return best / number * 1e3
+
+
 def solve_us(solver, r: int, repeat: int) -> float:
-    rng = np.random.default_rng(r)
-    X = rng.standard_normal((r, r))
-    solve = solver._factorize(2.0 * (X.T @ X) + solver.DiffOperator(r, 1).gram())
-    rhs = rng.standard_normal(r)
+    solve = solver._factorize(ls_system(solver, r))
+    rhs = np.random.default_rng(r + 1).standard_normal(r)
     number = 2000
     best = min(timeit.repeat(lambda: solve(rhs), number=number, repeat=repeat))
     return best / number * 1e6
@@ -78,8 +93,10 @@ def main() -> int:
     p3 = [c for c in load_scenario_grid(ROOT / "scripts" / "full_grid.conf")
           if (c.p, c.g, c.error_dist, c.changes) == (3, 100, "gaussian", 2)]
     out = {
+        "factor_ms": {r: round(factor_ms(solver, r, args.repeat), 4)
+                      for r in SIZES},
         "solve_us": {r: round(solve_us(solver, r, args.repeat), 2)
-                     for r in (20, 100, 300)},
+                     for r in SIZES},
         "iter_us": {f"{label}.{loss}": round(iter_us(cells, loss,
                                                      args.repeat), 1)
                     for label, cells in (("desk", desk), ("p3", p3))

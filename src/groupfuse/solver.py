@@ -10,12 +10,13 @@ the check function enters through its exact prox.  The two constraint
 blocks of the quantile loss run at different augmented-Lagrangian rates
 (rho for the residuals, c * rho for the differences, c set from the penalty
 scale), which keeps the dual variables O(1) even when the per-pair penalty
-weights are large; the ratio c is fixed per fit so the cached factorization
-of the b-update system survives residual-balancing changes to rho.
+weights are large; the ratio c is fixed per fit so the cached inverse of
+the b-update system survives residual-balancing changes to rho.
 
-The b-update system is Cholesky-factored once (for the LS loss, again
-whenever balancing changes rho), and every iteration solves on the cached
-factor through LAPACK ``potrs``, with no per-call checks of the factor.
+The b-update system is inverted once (for the LS loss, again whenever
+balancing changes rho), after a Cholesky factorization has confirmed it is
+positive definite, and every iteration solves by one product with the
+cached inverse.
 
 The recorded merit per outer iteration is the true objective of the
 incumbent (best-so-far) iterate, which is also what gets returned.
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import detection, penalties
 from .model import (DimensionMismatchError, FitResult, GroupedCoefficients,
@@ -57,7 +57,10 @@ class SolverConfig:
     rule, and ``fusion_tol`` is the post-hoc threshold used to read the
     detected difference set off the solution.  ``warm_start`` accepts any
     coefficient vector; vectors returned by :func:`fit` carry the full
-    splitting state and restart at the fixed point.
+    splitting state and restart at the fixed point.  Only a restart on the
+    same design (the same ``GroupedDesign`` object) with the same loss, tau,
+    q and pair weights also resumes the returned rate and accepts the
+    residual levels that fit stopped at.
 
     The augmented-Lagrangian rate starts at ``RHO_INIT``; every
     ``ADAPT_EVERY`` iterations residual balancing may halve or double it
@@ -131,34 +134,29 @@ class DiffOperator:
 
 
 def _factorize(M: np.ndarray):
-    """Factor the b-update system once; return its solve.
+    """Invert the b-update system once; return its solve.
 
-    Each right-hand side goes straight to LAPACK ``potrs`` on the cached
-    Cholesky factor, the routine ``scipy.linalg.cho_solve`` calls, so the
-    bits are the same without its per-call finiteness scan of the factor.
+    ``np.linalg.cholesky`` (LAPACK ``potrf``) decides whether the system is
+    positive definite; the cached inverse then makes every solve a single
+    matrix-vector product, since numpy has no triangular solve and
+    ``np.linalg.solve`` would factor the system again on each call.
     """
     try:
-        c, lower = scipy.linalg.cho_factor(M)
-    except scipy.linalg.LinAlgError:
+        np.linalg.cholesky(M)
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
         # singular system (e.g. an all-zero design); the minimum-norm
         # solution still minimizes the b-subproblem
-        pinv = np.linalg.pinv(M)
-        return lambda rhs: pinv @ rhs
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
-
-    def solve(rhs):
-        x, info = potrs(c, rhs, lower=lower)
-        if info != 0:
-            raise SolverError(f"potrs rejected argument {-info}")
-        return x
-    return solve
+        inv = np.linalg.pinv(M)
+    return lambda rhs: inv @ rhs
 
 
 def _problem_key(design: GroupedDesign, spec: ProblemSpec,
                  kappa: np.ndarray) -> tuple:
-    return (spec.loss, spec.tau if spec.loss == "quantile" else None,
-            spec.q, design.n, design.g, design.p,
-            float(kappa.sum()), float(kappa.max(initial=0.0)))
+    # GroupedDesign compares by identity, so the key names this very data
+    return (design, spec.loss,
+            spec.tau if spec.loss == "quantile" else None, spec.q,
+            kappa.tobytes())
 
 
 class _Incumbent:

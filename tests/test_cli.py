@@ -294,14 +294,47 @@ def test_cmd_simulate_bad_config_exit_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_import_loads_no_scipy_optimize_or_integrate():
+def _run_fresh(code, *args):
     # a fresh interpreter, so modules the tests themselves load do not count
     src = str(Path(groupfuse.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, groupfuse, groupfuse.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": path})
-    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy_optimize_or_integrate():
+    # nor any other scipy module: numpy is the only runtime dependency
+    code = ("import sys, groupfuse, groupfuse.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _run_fresh(code).stdout.strip() == "[]"
+
+
+RUN_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+from groupfuse import GroupedDesign, ProblemSpec
+from groupfuse.cli import main
+from groupfuse.solver import fit
+
+rng = np.random.default_rng(0)
+design = GroupedDesign(X=rng.standard_normal((20, 4)),
+                       y=rng.standard_normal(20), g=4, p=1)
+for loss in ("ls", "quantile"):
+    assert fit(design, ProblemSpec(loss=loss, q=2, lam=0.1)).converged
+csv_path, conf, out = sys.argv[1:]
+assert main(["fit", csv_path, "--response", "y", "--auto-lambda",
+             "--out", out + "/fit.json"]) == 0
+assert main(["simulate", conf, "--runs", "1", "--out", out + "/sim"]) == 0
+print("ok")
+"""
+
+
+def test_runs_with_scipy_unimportable(tmp_path):
+    conf = tmp_path / "grid.conf"
+    conf.write_text(SIM_CONF)
+    proc = _run_fresh(RUN_WITHOUT_SCIPY, small_csv(tmp_path), conf, tmp_path)
+    assert proc.stdout.strip().endswith("ok")
+    assert (tmp_path / "fit.json").exists()
+    assert (tmp_path / "sim" / "report.json").exists()
