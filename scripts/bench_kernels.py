@@ -12,8 +12,10 @@ script times any other checkout too.  Prints one JSON object:
 - ``iter_us``: microseconds per ADMM iteration of the fused fits, by loss,
   on the eight desk-grid cells (p = 1, replication m = 0) and on the
   p = 3, g = 100, two-change Gaussian cell of the full grid, at the Monte
-  Carlo solver settings.  Each is fit time over iterations, so the
-  factorization is included.
+  Carlo solver settings, and on the air dataset (n = 357, g = 24, p = 2,
+  from ``datasets.write_hourly_profile_csv(n_days=357, seed=7)``) at the
+  defaults of ``groupfuse fit --auto-lambda``.  Each is fit time over
+  iterations, so the factorization is included.
 
 Every figure is the best of ``--repeat`` rounds.
 """
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 from time import perf_counter
@@ -59,21 +62,35 @@ def solve_us(solver, r: int, repeat: int) -> float:
     return best / number * 1e6
 
 
-def iter_us(cells, loss: str, repeat: int) -> float:
+def cell_designs(cells):
+    """(design, tau, q) of replication m = 0 of each scenario cell."""
+    from groupfuse.simulation import generate_instance
+    return [(generate_instance(c, np.random.default_rng((c.seed, 0)))[0],
+             c.tau, c.q) for c in cells]
+
+
+def air_design():
+    """The air dataset as ``groupfuse fit`` reads it: (design, tau, q)."""
+    from groupfuse.datasets import load_dataset, write_hourly_profile_csv
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "air.csv"
+        write_hourly_profile_csv(path, n_days=357, seed=7)
+        return [(load_dataset(path, "benzene_max")[0], 0.5, 2)]
+
+
+def iter_us(designs, loss: str, cfg, repeat: int) -> float:
     from groupfuse import ProblemSpec
-    from groupfuse.simulation import MC_SOLVER_CONFIG, generate_instance
     from groupfuse.solver import default_schedules, fit
     work = []
-    for c in cells:
-        design = generate_instance(c, np.random.default_rng((c.seed, 0)))[0]
+    for design, tau, q in designs:
         lam = default_schedules(design.n, "fused")[0]
-        work.append((design, ProblemSpec(loss=loss, tau=c.tau, q=c.q, lam=lam)))
+        work.append((design, ProblemSpec(loss=loss, tau=tau, q=q, lam=lam)))
     best = float("inf")
     for _ in range(repeat):
         busy = iters = 0
         for design, spec in work:
             t0 = perf_counter()
-            res = fit(design, spec, MC_SOLVER_CONFIG)
+            res = fit(design, spec, cfg)
             busy += perf_counter() - t0
             iters += res.iterations
         best = min(best, busy / iters * 1e6)
@@ -87,19 +104,22 @@ def main() -> int:
     args = ap.parse_args()
     sys.path.insert(0, args.src)
     from groupfuse import solver
-    from groupfuse.simulation import load_scenario_grid
+    from groupfuse.simulation import MC_SOLVER_CONFIG, load_scenario_grid
 
     desk = load_scenario_grid(ROOT / "scripts" / "desk_grid.conf")
     p3 = [c for c in load_scenario_grid(ROOT / "scripts" / "full_grid.conf")
           if (c.p, c.g, c.error_dist, c.changes) == (3, 100, "gaussian", 2)]
+    sizes = (("desk", cell_designs(desk), MC_SOLVER_CONFIG),
+             ("p3", cell_designs(p3), MC_SOLVER_CONFIG),
+             ("air", air_design(), solver.SolverConfig()))
     out = {
         "factor_ms": {r: round(factor_ms(solver, r, args.repeat), 4)
                       for r in SIZES},
         "solve_us": {r: round(solve_us(solver, r, args.repeat), 2)
                      for r in SIZES},
-        "iter_us": {f"{label}.{loss}": round(iter_us(cells, loss,
+        "iter_us": {f"{label}.{loss}": round(iter_us(designs, loss, cfg,
                                                      args.repeat), 1)
-                    for label, cells in (("desk", desk), ("p3", p3))
+                    for label, designs, cfg in sizes
                     for loss in ("ls", "quantile")},
     }
     print(json.dumps(out))

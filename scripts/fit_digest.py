@@ -66,7 +66,7 @@ class Digest:
                                res.detected_set,
                                res.overparameterized)).encode())
         st = res.beta._warm_state
-        for a in (st.zr, st.zd, st.ur, st.ud):
+        for a in (st.s, st.u):
             self._array(a)
         self.fits.update(repr((st.rho, st.problem_key, st.stop_primal,
                                st.stop_dual, st.converged)).encode())

@@ -23,7 +23,7 @@ from .detection import DEFAULT_FUSION_TOL, segments_from_detected
 from .model import GroupedDesign, ProblemSpec
 from .simulation import (ConfigError, format_table, load_scenario_grid,
                          run_monte_carlo, write_report_csv, write_report_json)
-from .solver import SolverConfig, default_schedules, fit
+from .solver import SolverConfig, SolverError, default_schedules, fit
 
 FIT_SCHEMA_VERSION = 1
 
@@ -133,7 +133,7 @@ def cmd_fit(args) -> int:
             spec = ProblemSpec(loss=args.loss, tau=args.tau, q=args.q,
                                lam=lam)
             result = fit(design, spec, cfg)
-    except ValueError as exc:
+    except (ValueError, SolverError) as exc:
         return _fail(str(exc))
 
     g = design.g

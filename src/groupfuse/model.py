@@ -204,7 +204,8 @@ class FitResult:
     block ``j`` differs from block ``j-1`` under the fusion tolerance.
     ``objective_trace`` records, per outer iteration, the objective of the
     best (incumbent) iterate seen so far; ``beta`` is that incumbent, so the
-    trace is non-increasing and ends at its minimum.
+    trace is non-increasing and ends at its minimum.  ``primal_residual``
+    and ``dual_residual`` are the last iteration's stopping residuals.
     """
 
     beta: GroupedCoefficients

@@ -3,15 +3,34 @@
 Minimizes  loss(y - X b) + n * lam * sum_{j=2}^g w_j ||b_j - b_{j-1}||_q
 by operator splitting (ADMM) on the successive-difference operator D.
 
-One loop serves both losses.  For the LS loss the quadratic is absorbed
-exactly into the b-update and only the difference blocks are mirrored
-(z = D b); for the quantile loss a second mirror carries the residuals so
-the check function enters through its exact prox.  The two constraint
-blocks of the quantile loss run at different augmented-Lagrangian rates
-(rho for the residuals, c * rho for the differences, c set from the penalty
-scale), which keeps the dual variables O(1) even when the per-pair penalty
-weights are large; the ratio c is fixed per fit so the cached inverse of
-the b-update system survives residual-balancing changes to rho.
+One loop serves both losses.  The constraint A b = s is held as one
+stacked mirror s and one stacked scaled dual u.  For the quantile loss
+A = [X; D] and s = [y - zr; zd], so the residuals zr enter through the
+exact check prox; for the LS loss the quadratic is absorbed exactly into
+the b-update and only the difference block exists (A = D, s = zd).
+Over-relaxation, the dual update, the primal residual and the step are
+then one vector operation each, and [X b; D b] is written into one buffer.
+
+Which prox runs: when the penalty is separable (p = 1 or q = 1), the soft
+threshold is the check prox at tau = 1/2 with twice the step, so the whole
+mirror's prox is one entrywise clip, s = v + clip(c - v, lo, hi) with
+c = [y; 0] and bounds rebuilt only when rho changes.  For q = 2 and p > 1
+the residual block is clipped and the difference block goes through the
+row-wise block prox ``penalties.prox_block_norms``.
+
+The two constraint blocks of the quantile loss run at different
+augmented-Lagrangian rates (rho for the residuals, c * rho for the
+differences, c set from the penalty scale), which keeps the dual variables
+O(1) even when the per-pair penalty weights are large; the ratio c is
+fixed per fit so the cached inverse of the b-update system survives
+residual-balancing changes to rho.
+
+Stopping follows the primal/dual residual rule of Boyd et al. (2011), plus
+a step-stall rule.  The primal residual, the step and their scales are
+computed in every iteration; the dual residual and its scale only where
+they are read: when the primal test passes, at a balancing step, on a step
+stall and at the last iteration.  The dual residual a fit reports is
+therefore always its last iteration's.
 
 The b-update system is inverted once (for the LS loss, again whenever
 balancing changes rho), after a Cholesky factorization has confirmed it is
@@ -19,7 +38,8 @@ positive definite, and every iteration solves by one product with the
 cached inverse.
 
 The recorded merit per outer iteration is the true objective of the
-incumbent (best-so-far) iterate, which is also what gets returned.
+incumbent (best-so-far) iterate, which is also what gets returned; a
+non-finite merit raises :class:`SolverError` naming the iteration.
 
 The default tuning schedules live here too.
 """
@@ -34,7 +54,9 @@ import numpy as np
 from . import detection, penalties
 from .model import (DimensionMismatchError, FitResult, GroupedCoefficients,
                     GroupedDesign, ProblemSpec)
-from .losses import prox_check
+# the loop clips the residual block itself (see _clip_prox); the check prox
+# stays importable here, where gfbench's tracer looks it up
+from .losses import prox_check  # noqa: F401
 
 RHO_INIT = 1.0
 RHO_MIN = 1e-3
@@ -85,12 +107,14 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class _WarmState:
-    """Full splitting state attached to solver output for exact restarts."""
+    """Full splitting state attached to solver output for exact restarts.
 
-    zr: np.ndarray | None
-    zd: np.ndarray
-    ur: np.ndarray | None
-    ud: np.ndarray
+    ``s`` and ``u`` are the stacked mirror and scaled dual: residual block
+    first (quantile loss only), then the difference block.
+    """
+
+    s: np.ndarray
+    u: np.ndarray
     rho: float
     problem_key: tuple
     stop_primal: float
@@ -109,11 +133,11 @@ class DiffOperator:
         self.rows = (g - 1) * p
         self.cols = g * p
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray, out=None) -> np.ndarray:
         v = np.asarray(v).reshape(self.cols)
         # group j occupies entries [j*p, (j+1)*p), so block differences are
         # one shifted subtraction
-        return v[self.p:] - v[:self.rows]
+        return np.subtract(v[self.p:], v[:self.rows], out=out)
 
     def adjoint(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d).reshape(self.rows)
@@ -159,89 +183,80 @@ def _problem_key(design: GroupedDesign, spec: ProblemSpec,
             kappa.tobytes())
 
 
-class _Incumbent:
-    """Track the best true objective and the iterate that achieved it."""
+def _clip_bounds(alpha: float, tau: float, kappa_rho: np.ndarray, n_res: int,
+                 p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the stacked clip for ``n_res`` residuals, then pairs.
 
-    def __init__(self):
-        self.obj = np.inf
-        self.beta = None
-        self.zd = None
-        self.trace: list[float] = []
-
-    def seed(self, obj: float, beta: np.ndarray, zd: np.ndarray) -> None:
-        self.obj = obj
-        self.beta = beta.copy()
-        self.zd = zd.copy()
-
-    def update(self, obj: float, beta: np.ndarray, zd: np.ndarray) -> None:
-        if obj < self.obj:
-            self.obj = obj
-            self.beta = beta.copy()
-            self.zd = zd.copy()
-        self.trace.append(self.obj)
+    A residual entry gets the check prox's dead zone at step ``alpha``,
+    [-alpha * (1 - tau), alpha * tau]; each of the p entries of pair j gets
+    [-kappa_rho[j], kappa_rho[j]], the check prox's at tau = 1/2 and twice
+    the step, i.e. the soft threshold.
+    """
+    k = np.repeat(kappa_rho, p)
+    return (np.concatenate((np.full(n_res, -alpha * (1.0 - tau)), -k)),
+            np.concatenate((np.full(n_res, alpha * tau), k)))
 
 
-def _assemble(design, cfg, inc: _Incumbent, state: _WarmState,
-              converged: bool, iterations: int, rnorm: float,
-              snorm: float) -> FitResult:
+def _clip_prox(v: np.ndarray, c, lo, hi) -> np.ndarray:
+    """v + clip(c - v, lo, hi): the prox of every separable mirror entry.
+
+    For a residual entry (c = y) it is y minus the check prox of y - v; for
+    a difference entry (c = 0, lo = -hi) it is the soft threshold of v, the
+    block prox whenever p = 1 or q = 1, and exactly +0.0 in its dead zone.
+    """
+    return v + np.minimum(np.maximum(c - v, lo), hi)
+
+
+def _assemble(design, cfg, beta, zd, trace, state: _WarmState,
+              converged: bool, iterations: int) -> FitResult:
     g, p = design.g, design.p
-    beta_gc = GroupedCoefficients.from_flat(inc.beta, g, p)
+    beta_gc = GroupedCoefficients.from_flat(beta, g, p)
     object.__setattr__(beta_gc, "_warm_state", state)
     detected = detection.detect_from_diffs(
-        inc.zd.reshape(g - 1, p) if g > 1 else np.zeros((0, p)),
+        zd.reshape(g - 1, p) if g > 1 else np.zeros((0, p)),
         beta_gc.stacked(), cfg.fusion_tol)
     return FitResult(
         beta=beta_gc,
         detected_set=tuple(detected),
-        objective_trace=tuple(inc.trace),
+        objective_trace=tuple(trace),
         converged=converged,
         iterations=iterations,
-        primal_residual=float(rnorm),
-        dual_residual=float(snorm),
+        primal_residual=state.stop_primal,
+        dual_residual=state.stop_dual,
         overparameterized=design.r > design.n,
     )
 
 
 def _warm_arrays(cfg, key, design: GroupedDesign, D: DiffOperator,
                  need_zr: bool):
-    """Initial (beta0, zr, zd, ur, ud, rho, donor) from the warm-start field.
+    """Initial (beta0, s, u, rho, donor) from the warm-start field.
 
-    A full state of matching shape restarts the splitting where it stopped;
-    otherwise the mirrors start at the warm coefficients (or at zero) with
-    zero duals.  The residual mirror (zr, ur) exists only if ``need_zr``.
-    ``rho`` is None unless the state is of this very problem; ``donor`` is
-    that state when it was converged, enabling restart acceptance at the
-    residual levels already accepted once.
+    A full state of matching shape restarts the splitting where it stopped
+    (an LS fit takes the difference block of any state); otherwise the
+    mirror starts at A b for the warm coefficients b (or at zero) with a
+    zero dual.  The residual block exists only if ``need_zr``.  ``rho`` is
+    None unless the state is of this very problem; ``donor`` is that state
+    when it was converged, enabling restart acceptance at the residual
+    levels already accepted once.
     """
-    n, md = design.n, D.rows
+    m = D.rows + (design.n if need_zr else 0)
     ws = cfg.warm_start
     beta0 = None if ws is None else ws.flat
     state = getattr(ws, "_warm_state", None)
-    if state is not None and state.zd.shape == (md,) and \
-            (not need_zr or (state.zr is not None and state.zr.shape == (n,))):
+    if state is not None and (not need_zr or state.s.size == m):
         same_problem = state.problem_key == key
         rho = min(max(state.rho, RHO_MIN), RHO_MAX) if same_problem else None
         donor = state if same_problem and state.converged else None
-        zr = state.zr.copy() if need_zr else None
-        ur = state.ur.copy() if need_zr else None
-        return beta0, zr, state.zd.copy(), ur, state.ud.copy(), rho, donor
-    zd = np.zeros(md) if beta0 is None else D.apply(beta0)
-    zr = ur = None
-    if need_zr:
-        zr = design.y.copy() if beta0 is None else design.y - design.X @ beta0
-        ur = np.zeros(n)
-    return beta0, zr, zd, ur, np.zeros(md), None, None
-
-
-def _accepts(rnorm, snorm, eps_pri, eps_dual, donor) -> bool:
-    if rnorm <= eps_pri and snorm <= eps_dual:
-        return True
-    # restarting from a converged state of the same problem: accept residual
-    # levels comparable to the ones already accepted at that state
-    if donor is not None:
-        return (rnorm <= max(eps_pri, 2.0 * donor.stop_primal)
-                and snorm <= max(eps_dual, 2.0 * donor.stop_dual))
-    return False
+        # iterates are never written in place, so the state is shared
+        k = state.s.size - m
+        return beta0, state.s[k:], state.u[k:], rho, donor
+    if beta0 is None:
+        s = np.zeros(m)
+    elif need_zr:
+        s = np.concatenate((design.X @ beta0, D.apply(beta0)))
+    else:
+        s = D.apply(beta0)
+    return beta0, s, np.zeros(m), None, None
 
 
 def _norm(v: np.ndarray) -> float:
@@ -253,11 +268,15 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
           kappa: np.ndarray) -> FitResult:
     """The splitting loop for either loss.
 
-    The losses differ only in the setup, the b-update right-hand side, the
-    residual mirror (zr, ur) of the check loss, the stopping norms and the
-    rescale on a rho change; the rest is shared.  Everything that depends
-    only on rho (the difference rate and both prox thresholds) is computed
-    when rho changes, not per iteration.
+    The constraint A b = s stacks the residual block X b (quantile loss
+    only) on the difference block D b, so the over-relaxation, the dual
+    update, the primal residual and the step are one operation each on
+    the stacked mirror s and dual u.  The losses differ only in the setup,
+    the b-update right-hand side, the stopping scales, the dual residual
+    and the refactorization on a rho change (LS only).  Everything that
+    depends only on rho (the prox thresholds) is computed when rho
+    changes, and the dual residual only where the stopping test or
+    balancing reads it.
     """
     n, g, p = design.n, design.g, design.p
     X, y = design.X, design.y
@@ -266,10 +285,15 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     md = D.rows
     ls = spec.loss == "ls"
     tau, q = spec.tau, spec.q
+    if (kappa < 0).any():
+        raise ValueError("kappa must be nonnegative")
+    # a separable penalty is proxed with the residuals by one clip
+    separable = p == 1 or q == 1
     max_iter, tol_rel = cfg.max_iter, cfg.tol_rel
     key = _problem_key(design, spec, kappa)
     gram_d = D.gram()
     kappa_med = float(np.median(kappa)) if md else 0.0
+    off = 0 if ls else n  # where the difference block starts in s and u
     if ls:
         # the b-update system carries the difference rate, so balancing
         # refactorizes it; large penalty weights need a comparable rate or
@@ -278,6 +302,7 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         rho_scale, c_ratio = max(1.0, kappa_med), 1.0
         sqrt_pri = math.sqrt(max(md, 1))
         XtX2, Xty2 = 2.0 * (Xt @ X), 2.0 * (Xt @ y)
+        norm_y = 0.0
     else:
         # rate ratio between the difference and residual blocks: the check
         # subgradients are O(1) while the difference duals are O(kappa)
@@ -286,19 +311,20 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         sqrt_pri = math.sqrt(n + md)
         norm_y = _norm(y)
         solve = _factorize(Xt @ X + c_ratio * gram_d)
+    # the clip's centre c = [y; 0], so that c - s = [zr; -zd]
+    c = np.concatenate((y[:off], np.zeros(md)))
     # the rho-free parts of the stopping thresholds
     abs_pri = sqrt_pri * cfg.tol_abs
     abs_dual = math.sqrt(g * p) * cfg.tol_abs
     step_rel = 0.1 * tol_rel
 
-    beta0, zr, zd, ur, ud, rho, donor = _warm_arrays(cfg, key, design, D,
-                                                     need_zr=not ls)
-    if rho is None:
-        rho = RHO_INIT * rho_scale
-    if ls:
-        solve = _factorize(XtX2 + rho * gram_d)
-    rho_d = rho * c_ratio
-    kappa_rho, alpha_check = kappa / rho_d, 1.0 / rho
+    def thresholds(rho):
+        """(lo, hi, kappa / rho_d): the clip bounds and the block prox's."""
+        kappa_rho = kappa / (rho * c_ratio)
+        # a separable penalty's thresholds join the residuals' in the clip
+        clipped = kappa_rho if separable else kappa_rho[:0]
+        lo, hi = _clip_bounds(1.0 / rho, tau, clipped, off, p)
+        return lo, hi, kappa_rho
 
     def merit(resid, Db):
         pen = float(kappa @ penalties.block_norms(
@@ -307,86 +333,103 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
             return float(resid @ resid) + pen
         return float((resid * (tau - (resid < 0))).sum()) + pen
 
-    inc = _Incumbent()
+    beta0, s, u, rho, donor = _warm_arrays(cfg, key, design, D,
+                                           need_zr=not ls)
+    if rho is None:
+        rho = RHO_INIT * rho_scale
+    if ls:
+        solve = _factorize(XtX2 + rho * gram_d)
+    lo, hi, kappa_rho = thresholds(rho)
+    # the incumbent: every iterate is a fresh array, so it keeps references
+    best, best_beta, best_zd, trace = np.inf, None, None, []
     if beta0 is not None:
         # never return anything worse than the starting point
-        Db0 = D.apply(beta0)
-        inc.seed(merit(y - X @ beta0, Db0), beta0, Db0)
+        best_zd = D.apply(beta0)
+        best, best_beta = merit(y - X @ beta0, best_zd), beta0
+    # restarting from a converged state of the same problem: accept
+    # residual levels comparable to the ones already accepted at that state
+    pri_floor = 2.0 * donor.stop_primal if donor is not None else 0.0
+    dual_floor = 2.0 * donor.stop_dual if donor is not None else 0.0
     alpha = OVER_RELAX
     keep = 1.0 - alpha
+    Ab = np.empty(off + md)  # [X b; D b], rewritten in every iteration
+    Xb, Db = Ab[:off], Ab[off:]
     converged = False
     rnorm = snorm = 0.0
     it = 0
     for it in range(1, max_iter + 1):
+        w = s - u
         if ls:
-            rhs = Xty2 + rho * D.adjoint(zd - ud)
+            beta = solve(Xty2 + rho * D.adjoint(w))
+            resid = y - X @ beta
         else:
-            y_zr = y - zr
-            rhs = Xt @ (y_zr - ur) + c_ratio * D.adjoint(zd - ud)
-        beta = solve(rhs)
-        if not np.isfinite(beta).all():
+            beta = solve(Xt @ w[:n] + c_ratio * D.adjoint(w[n:]))
+            resid = y - np.matmul(X, beta, out=Xb)
+        D.apply(beta, out=Db)
+        obj = merit(resid, Db)
+        if not math.isfinite(obj):
             raise SolverError(f"non-finite iterate at iteration {it}")
-        Xb = X @ beta
-        Db = D.apply(beta)
-        Db_r = alpha * Db + keep * zd
-        zd_old = zd
-        if md:
-            zd = penalties.prox_block_norms(
-                (Db_r + ud).reshape(g - 1, p), kappa_rho, q).ravel()
-        ud = ud + (Db_r - zd)
-        dzd = zd - zd_old
-        if not ls:
-            Xb_r = alpha * Xb + keep * y_zr
-            zr_old = zr
-            zr = prox_check(y - Xb_r - ur, alpha_check, tau)
-            ur = ur + (Xb_r + zr - y)
-            dzr = zr - zr_old
-        inc.update(merit(y - Xb, Db), beta, zd)
+        v = alpha * Ab + keep * s + u
+        if separable:
+            s_new = _clip_prox(v, c, lo, hi)
+        else:
+            zd = penalties.prox_block_norms(v[off:].reshape(g - 1, p),
+                                            kappa_rho, q).ravel()
+            s_new = zd if ls else np.concatenate(
+                (_clip_prox(v[:n], y, lo, hi), zd))
+        u = v - s_new
+        ds = s_new - s
+        s = s_new
+        if obj < best:
+            best, best_beta, best_zd = obj, beta, s[off:]
+        trace.append(best)
 
+        rnorm = _norm(Ab - s)
+        step = _norm(ds)
+        # |[zr; zd]|, floored at |y| for the check loss
+        z_scale = max(_norm(c - s), norm_y)
+        pri_scale = max(_norm(Ab), z_scale)
+        step_scale = pri_scale if ls else z_scale
+        eps_pri = abs_pri + tol_rel * pri_scale
+        step_tol = abs_pri + step_rel * max(step_scale, 1e-12)
+        pri_ok = rnorm <= max(eps_pri, pri_floor)
+        stall = rnorm <= step_tol and step <= step_tol
+        balance = it % ADAPT_EVERY == 0
+        if not (pri_ok or stall or balance or it == max_iter):
+            continue
+        # the dual residual and its scale, only where they are read
         if ls:
-            rnorm = _norm(Db - zd)
-            snorm = rho * _norm(D.adjoint(dzd))
-            step = _norm(dzd)
-            pri_scale = step_scale = max(_norm(Db), _norm(zd))
-            dual_scale = max(rho * _norm(D.adjoint(ud)),
+            snorm = rho * _norm(D.adjoint(ds))
+            dual_scale = max(rho * _norm(D.adjoint(u)),
                              _norm(Xty2 - XtX2 @ beta))
         else:
-            pri_r, pri_d = Xb + zr - y, Db - zd
-            rnorm = math.sqrt(pri_r @ pri_r + pri_d @ pri_d)
-            snorm = _norm(rho * (Xt @ dzr) - rho_d * D.adjoint(dzd))
-            step = math.sqrt(dzr @ dzr + dzd @ dzd)
-            step_scale = max(math.sqrt(zr @ zr + zd @ zd), norm_y)
-            pri_scale = max(math.sqrt(Xb @ Xb + Db @ Db), step_scale)
-            dual_scale = max(rho * _norm(Xt @ ur),
-                             rho_d * _norm(D.adjoint(ud)))
-        eps_pri = abs_pri + tol_rel * pri_scale
+            rho_d = rho * c_ratio
+            snorm = _norm(rho * (Xt @ ds[:n]) + rho_d * D.adjoint(ds[n:]))
+            dual_scale = max(rho * _norm(Xt @ u[:n]),
+                             rho_d * _norm(D.adjoint(u[n:])))
         eps_dual = abs_dual + tol_rel * dual_scale
-        step_tol = abs_pri + step_rel * max(step_scale, 1e-12)
-        if _accepts(rnorm, snorm, eps_pri, eps_dual, donor) or \
-                (rnorm <= step_tol and step <= step_tol):
+        if (pri_ok and snorm <= max(eps_dual, dual_floor)) or stall:
             converged = True
             break
 
-        if it % ADAPT_EVERY == 0:
+        if balance:
             new_rho = rho
             if rnorm > 10.0 * snorm and rnorm > eps_pri:
                 new_rho = min(rho * 2.0, RHO_MAX * rho_scale)
             elif snorm > 10.0 * rnorm and snorm > eps_dual:
                 new_rho = max(rho / 2.0, RHO_MIN * rho_scale)
             if new_rho != rho:
-                ud = ud * (rho / new_rho)
+                u = u * (rho / new_rho)
                 if ls:
                     solve = _factorize(XtX2 + new_rho * gram_d)
-                else:
-                    ur = ur * (rho / new_rho)
                 rho = new_rho
-                rho_d = rho * c_ratio
-                kappa_rho, alpha_check = kappa / rho_d, 1.0 / rho
+                lo, hi, kappa_rho = thresholds(rho)
 
-    state = _WarmState(zr=zr, zd=zd, ur=ur, ud=ud, rho=rho,
-                       problem_key=key, stop_primal=float(rnorm),
-                       stop_dual=float(snorm), converged=converged)
-    return _assemble(design, cfg, inc, state, converged, it, rnorm, snorm)
+    state = _WarmState(s=s, u=u, rho=rho, problem_key=key,
+                       stop_primal=float(rnorm), stop_dual=float(snorm),
+                       converged=converged)
+    return _assemble(design, cfg, best_beta, best_zd, trace, state,
+                     converged, it)
 
 
 def fit(design: GroupedDesign, spec: ProblemSpec,

@@ -179,6 +179,19 @@ def test_cmd_fit_input_errors_exit_1(tmp_path, capsys):
     assert "fusion_tol" in capsys.readouterr().err
     assert not out.exists()
 
+    # finite entries whose X'X overflows: the solver's error, not a traceback
+    huge = tmp_path / "huge.csv"
+    rng = np.random.default_rng(3)
+    rows = 1e160 * rng.uniform(1.0, 2.0, (6, 3))
+    huge.write_text("y,x_1,x_2\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    for loss in ("ls", "quantile"):
+        assert main(["fit", str(huge), "--response", "y", "--lambda", "0.1",
+                     "--loss", loss, "--out", str(out)]) == 1
+        assert "error: non-finite iterate at iteration 1" in \
+            capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_cmd_fit_nonconvergence_exit_2(tmp_path):
     data = small_csv(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupfuse import GroupedCoefficients, GroupedDesign
+from groupfuse import GroupedCoefficients, GroupedDesign, solver
 from groupfuse.losses import check_value, prox_check
 from helpers import (central_differences, knight_identity_gap,
                      knight_integral_quad, ls_residual_gradient,
@@ -142,6 +142,18 @@ def test_prox_check_bitwise_matches_where_form(seed):
     for x in special:
         assert np.float64(prox_check(x, alpha, tau)).tobytes() == \
             prox_check_where(x, alpha, tau).tobytes()
+    # the solver's stacked clip mirrors s = y - zr on the residual block:
+    # y - prox(y - v) is v + clip(y - v), exactly at y = 0 (dead-zone zeros
+    # included) and to 1e-15 of the inputs' scale otherwise
+    w = v[np.isfinite(v)]
+    lo, hi = solver._clip_bounds(alpha, tau, np.zeros(0), w.size, 1)
+    assert np.array_equal(-solver._clip_prox(-w, 0.0, lo, hi),
+                          prox_check(w, alpha, tau))
+    y = rng.standard_normal(w.size)
+    mirror = solver._clip_prox(y - w, y, lo, hi)
+    ref = y - prox_check(y - (y - w), alpha, tau)
+    assert np.all(np.abs(mirror - ref)
+                  <= 1e-15 * np.maximum(np.abs(y), np.abs(y - w)))
 
 
 def test_prox_check_nan_in_nan_out():

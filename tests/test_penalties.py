@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
-                       objective)
+                       objective, solver)
 from groupfuse.penalties import (adaptive_weights, block_norms,
                                  prox_block_norms)
 from helpers import ternary_min
@@ -167,6 +167,9 @@ def test_block_norms_bitwise_match_row_sums(p):
     V[:5] = 0.0
     V[5:10] = -0.0
     kappas = rng.uniform(0.0, 2.0, 60)
+    # both dead-zone boundaries of the componentwise soft threshold
+    V[10:15] = kappas[10:15, None]
+    V[15:20] = -kappas[15:20, None]
     assert block_norms(V, 1).tobytes() == np.abs(V).sum(axis=1).tobytes()
     sq = (V ** 2).sum(axis=1, keepdims=True)
     assert block_norms(V, 2).tobytes() == np.sqrt(sq[:, 0]).tobytes()
@@ -175,6 +178,14 @@ def test_block_norms_bitwise_match_row_sums(p):
     np.divide(norms - kappas[:, None], norms, out=scale,
               where=norms > kappas[:, None])
     assert prox_block_norms(V, kappas, 2).tobytes() == (scale * V).tobytes()
+    # the solver's stacked clip is this prox wherever the penalty is
+    # separable (q = 1, or p = 1), with exact zeros in the dead zone
+    lo, hi = solver._clip_bounds(1.0, 0.5, kappas, 0, p)
+    clipped = solver._clip_prox(V.ravel(), 0.0, lo, hi)
+    for q in (1, 2) if p == 1 else (1,):
+        ref = prox_block_norms(V, kappas, q).ravel()
+        np.testing.assert_allclose(clipped, ref, rtol=1e-15, atol=0.0)
+        assert np.array_equal(clipped == 0.0, ref == 0.0)
 
 
 def test_prox_block_norms_rejects_negative_kappa():

@@ -199,6 +199,55 @@ def test_nan_iterate_raises_named_iteration(monkeypatch):
         fit(two_group_design(), ProblemSpec(loss="ls", q=1, lam=0.5))
 
 
+@pytest.mark.parametrize("loss", ["ls", "quantile"])
+def test_inf_iterate_raises_named_iteration(monkeypatch, loss):
+    bad = lambda M: (lambda rhs: np.full(2, np.inf))
+    monkeypatch.setattr(solver, "_factorize", bad)
+    with pytest.raises(SolverError, match="iteration 1"):
+        fit(two_group_design(), ProblemSpec(loss=loss, q=1, lam=0.5))
+
+
+_MC_TOLS = {"tol_abs": 1e-6, "tol_rel": 1e-4}
+
+
+# One small fit per way a fit stops, with the iteration count, converged
+# flag and both residuals that the same rule gave while the dual residual
+# was still computed in every iteration.  The stall fits stop on the step
+# rule with the dual test failing; the max_iter = 7 fits end on an
+# iteration that is neither a balancing step nor a primal pass.
+@pytest.mark.parametrize(
+    "seed, loss, q, lam, cfg, iterations, converged, primal, dual", [
+        (0, "ls", 1, 0.1, {}, 17, True,
+         6.762593988962688e-07, 1.5617315851646333e-06),
+        (0, "quantile", 1, 0.1, {}, 1038, True,
+         3.940525331960629e-06, 5.965751596876007e-07),
+        (1, "ls", 2, 0.01, _MC_TOLS, 24, True,
+         4.867700736144806e-06, 2.4724513026955555e-05),
+        (4, "quantile", 1, 0.01, _MC_TOLS, 210, True,
+         2.978441574835308e-05, 0.00017129518647001528),
+        (0, "ls", 1, 0.1, {"max_iter": 7}, 7, False,
+         0.0019509933051655357, 0.0050932144409084725),
+        (0, "quantile", 1, 0.1, {"max_iter": 7}, 7, False,
+         0.07726618020586391, 0.2686634527823751),
+    ], ids=["residual-ls", "residual-quantile", "stall-ls", "stall-quantile",
+            "max_iter-ls", "max_iter-quantile"])
+def test_stop_residuals_pinned(seed, loss, q, lam, cfg, iterations,
+                               converged, primal, dual):
+    rng = np.random.default_rng(seed)
+    g, p = (4, 1) if seed % 4 == 0 else (3, 2)
+    X = rng.standard_normal((10, g * p))
+    y = rng.standard_normal(10)
+    spec = ProblemSpec(loss=loss, tau=0.3 if loss == "quantile" else 0.5,
+                       q=q, lam=lam)
+    res = fit(GroupedDesign(X=X, y=y, g=g, p=p), spec, SolverConfig(**cfg))
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert res.primal_residual == pytest.approx(primal, rel=1e-9)
+    assert res.dual_residual == pytest.approx(dual, rel=1e-9)
+    state = res.beta._warm_state
+    assert (state.stop_primal, state.stop_dual) == (res.primal_residual,
+                                                    res.dual_residual)
+
+
 def test_overparameterized_flagged():
     rng = np.random.default_rng(40)
     X = rng.standard_normal((3, 4))
