@@ -51,8 +51,6 @@ def detect_from_diffs(diffs: np.ndarray, blocks: np.ndarray,
 def detect_differences(beta: GroupedCoefficients,
                        fusion_tol: float = DEFAULT_FUSION_TOL) -> list[int]:
     """Sorted pair labels j in {2..g} with block j different from block j-1."""
-    if beta.g == 1:
-        return []
     return detect_from_diffs(beta.successive_differences(), beta.stacked(),
                              fusion_tol)
 

@@ -12,13 +12,8 @@ import numpy as np
 
 
 def _validate_tau(tau) -> None:
-    if isinstance(tau, float):
-        # plain comparisons: the solver's per-iteration case
-        ok = 0.0 < tau < 1.0
-    else:
-        arr = np.asarray(tau)
-        ok = np.all((arr > 0.0) & (arr < 1.0))
-    if not ok:
+    arr = np.asarray(tau)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
 
 
@@ -43,8 +38,7 @@ def prox_check(v, alpha: float, tau: float):
     Both dead-zone boundaries are treated as closed.  ``alpha`` and ``tau``
     may be arrays broadcasting against ``v``; NaN entries of ``v`` stay NaN.
     """
-    if not (alpha > 0.0 if isinstance(alpha, float)
-            else np.all(np.asarray(alpha) > 0)):
+    if not np.all(np.asarray(alpha) > 0):
         raise ValueError("alpha must be positive")
     _validate_tau(tau)
     arr = np.asarray(v, dtype=float)

@@ -129,11 +129,11 @@ def check_shapes(design: GroupedDesign, beta: GroupedCoefficients) -> None:
         raise DimensionMismatchError(
             f"coefficients have {beta.g} blocks, design has g={design.g}"
         )
-    for j, b in enumerate(beta.blocks):
-        if b.shape[0] != design.p:
-            raise DimensionMismatchError(
-                f"block {j} has length {b.shape[0]}, design has p={design.p}"
-            )
+    # every block has length beta.p, so block 0 stands for all of them
+    if beta.p != design.p:
+        raise DimensionMismatchError(
+            f"block 0 has length {beta.p}, design has p={design.p}"
+        )
 
 
 @dataclass(frozen=True)

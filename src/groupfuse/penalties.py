@@ -45,13 +45,10 @@ def prox_block_norms(V: np.ndarray, kappas: np.ndarray, q: int) -> np.ndarray:
     kappas = np.asarray(kappas, dtype=float)
     if (kappas < 0).any():
         raise ValueError("kappa must be nonnegative")
-    if V.shape[0] == 0:
-        return V.copy()
     k = kappas[:, None]
     if q == 1:
         return np.sign(V) * np.maximum(np.abs(V) - k, 0.0)
-    sq = V ** 2
-    norms = np.sqrt(sq if V.shape[1] == 1 else sq.sum(axis=1, keepdims=True))
+    norms = np.sqrt((V ** 2).sum(axis=1, keepdims=True))
     scale = np.zeros(norms.shape)
     np.divide(norms - k, norms, out=scale, where=norms > k)
     return scale * V

@@ -2,8 +2,8 @@
 
 A scenario draws a dense standard-normal design with n = g*p, a blockwise
 piecewise-constant coefficient vector whose change locations are random,
-jump magnitudes uniform on [0.5, 2] with random signs, and errors that are
-either standard normal or standard Cauchy.  Each replication fits all four
+jump magnitudes uniform on ``JUMP_RANGE`` with random signs, and errors that
+are either standard normal or standard Cauchy.  Each replication fits all four
 estimators (fused / adaptive fused, LS / quantile) with the default
 tuning schedules and scores detection and accuracy.
 
@@ -19,7 +19,7 @@ import json
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -34,6 +34,9 @@ ESTIMATORS = ("fused_ls", "adaptive_ls", "fused_quantile", "adaptive_quantile")
 # Monte Carlo default: residuals at 1e-4 relative leave objective errors far
 # below the Monte Carlo noise floor while cutting iteration counts several-fold
 MC_SOLVER_CONFIG = SolverConfig(tol_abs=1e-6, tol_rel=1e-4, max_iter=6000)
+
+# the (lo, hi) of the uniform jump magnitudes at a change location
+JUMP_RANGE = (0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class ScenarioSpec:
     q: int = 2
     seed: int = 0
     M: int = 100
-    jump_range: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self):
         if self.p < 1 or self.g < 1:
@@ -69,9 +71,6 @@ class ScenarioSpec:
             raise ValueError("gamma must be positive")
         if self.M < 1:
             raise ValueError("M must be at least 1")
-        lo, hi = self.jump_range
-        if not 0 < lo <= hi:
-            raise ValueError("jump_range must satisfy 0 < lo <= hi")
         if self.changes < 0:
             raise ValueError("changes must be nonnegative")
         if self.changes >= 1 and self.changes != int(self.changes):
@@ -103,7 +102,11 @@ class RunMetrics(NamedTuple):
 
 @dataclass(frozen=True)
 class EstimatorSummary:
-    """Plain means of the per-run metrics over M replications."""
+    """Plain means of the per-run metrics over M replications.
+
+    Its fields are those of :class:`RunMetrics` in the same order, each the
+    mean of its column; the report files take their columns from here.
+    """
 
     med: float
     mad: float
@@ -158,14 +161,14 @@ def generate_instance(spec: ScenarioSpec, rng: np.random.Generator
 
     Covariates are i.i.d. standard normal.  The base block is uniform on
     (-1, 1) per coordinate; at each change location every coordinate jumps
-    by an independent uniform(jump_range) magnitude with an independent
+    by an independent uniform(JUMP_RANGE) magnitude with an independent
     random sign.  Returns the drawn change locations as 1-based pair labels.
     """
     n, g, p = spec.n, spec.g, spec.p
     X = rng.standard_normal((n, g * p))
     locs = _draw_change_locations(rng, g, spec.n_changes)
     loc_set = set(locs)
-    lo, hi = spec.jump_range
+    lo, hi = JUMP_RANGE
 
     blocks = []
     current = rng.uniform(-1.0, 1.0, p)
@@ -252,17 +255,10 @@ def run_monte_carlo(spec: ScenarioSpec, workers: int = 1,
     wall = time.perf_counter() - start
 
     runs = {name: tuple(r[name] for r in per_run) for name in ESTIMATORS}
-    estimators = {}
-    for name in ESTIMATORS:
-        rs = runs[name]
-        estimators[name] = EstimatorSummary(
-            med=float(np.mean([r.med for r in rs])),
-            mad=float(np.mean([r.mad for r in rs])),
-            recovery=float(np.mean([r.recovery for r in rs])),
-            overestimation=float(np.mean([r.overestimation for r in rs])),
-            misscls=float(np.mean([r.misscls for r in rs])),
-            converged_fraction=float(np.mean([r.converged for r in rs])),
-        )
+    estimators = {
+        name: EstimatorSummary(*(float(np.mean(column))
+                                 for column in zip(*runs[name])))
+        for name in ESTIMATORS}
     return McReport(scenario=spec, M=spec.M, estimators=estimators,
                     runs=runs, wall_time=wall)
 
@@ -354,21 +350,19 @@ def _scenario_echo(spec: ScenarioSpec) -> dict:
 
 
 def write_report_csv(reports: list[McReport], path) -> None:
-    fields = ["scenario", "p", "g", "n", "errors", "changes", "tau", "gamma",
-              "q", "M", "estimator", "med", "mad", "recovery",
-              "overestimation", "misscls", "converged_fraction"]
+    header = ["scenario", "p", "g", "n", "errors", "changes", "tau", "gamma",
+              "q", "M", "estimator",
+              *(f.name for f in fields(EstimatorSummary))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(header)
         for idx, rep in enumerate(reports):
             s = rep.scenario
             for name in ESTIMATORS:
-                est = rep.estimators[name]
                 writer.writerow([
                     idx, s.p, s.g, s.n, s.error_dist, s.changes, s.tau,
-                    s.gamma, s.q, rep.M, name, est.med, est.mad,
-                    est.recovery, est.overestimation, est.misscls,
-                    est.converged_fraction,
+                    s.gamma, s.q, rep.M, name,
+                    *astuple(rep.estimators[name]),
                 ])
 
 
@@ -379,18 +373,8 @@ def write_report_json(reports: list[McReport], path) -> None:
             {
                 **_scenario_echo(rep.scenario),
                 "M": rep.M,
-                "estimators": {
-                    name: {
-                        "med": rep.estimators[name].med,
-                        "mad": rep.estimators[name].mad,
-                        "recovery": rep.estimators[name].recovery,
-                        "overestimation": rep.estimators[name].overestimation,
-                        "misscls": rep.estimators[name].misscls,
-                        "converged_fraction":
-                            rep.estimators[name].converged_fraction,
-                    }
-                    for name in ESTIMATORS
-                },
+                "estimators": {name: asdict(rep.estimators[name])
+                               for name in ESTIMATORS},
             }
             for rep in reports
         ],

@@ -213,8 +213,7 @@ def _assemble(design, cfg, beta, zd, trace, state: _WarmState,
     beta_gc = GroupedCoefficients.from_flat(beta, g, p)
     object.__setattr__(beta_gc, "_warm_state", state)
     detected = detection.detect_from_diffs(
-        zd.reshape(g - 1, p) if g > 1 else np.zeros((0, p)),
-        beta_gc.stacked(), cfg.fusion_tol)
+        zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
     return FitResult(
         beta=beta_gc,
         detected_set=tuple(detected),
@@ -327,8 +326,7 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         return lo, hi, kappa_rho
 
     def merit(resid, Db):
-        pen = float(kappa @ penalties.block_norms(
-            Db.reshape(g - 1, p), q)) if md else 0.0
+        pen = float(kappa @ penalties.block_norms(Db.reshape(g - 1, p), q))
         if ls:
             return float(resid @ resid) + pen
         return float((resid * (tau - (resid < 0))).sum()) + pen
