@@ -18,7 +18,6 @@ import itertools
 import json
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import NamedTuple
@@ -250,6 +249,8 @@ def run_monte_carlo(spec: ScenarioSpec, workers: int = 1,
     if workers <= 1 or spec.M == 1:
         per_run = [task(m) for m in range(spec.M)]
     else:
+        # imported here, so that no fit and no serial run loads the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_run = list(pool.map(task, range(spec.M)))
     wall = time.perf_counter() - start

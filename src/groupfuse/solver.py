@@ -79,10 +79,12 @@ class SolverConfig:
     rule, and ``fusion_tol`` is the post-hoc threshold used to read the
     detected difference set off the solution.  ``warm_start`` accepts any
     coefficient vector; vectors returned by :func:`fit` carry the full
-    splitting state and restart at the fixed point.  Only a restart on the
-    same design (the same ``GroupedDesign`` object) with the same loss, tau,
-    q and pair weights also resumes the returned rate and accepts the
-    residual levels that fit stopped at.
+    splitting state, restart at the fixed point, and the restart never
+    returns anything worse than them (a returned start keeps the detected
+    set its fit reported).  A plain vector is only a starting point.  Only
+    a restart on the same design (the same ``GroupedDesign`` object) with
+    the same loss, tau, q and pair weights also resumes the returned rate
+    and accepts the residual levels that fit stopped at.
 
     The augmented-Lagrangian rate starts at ``RHO_INIT``; every
     ``ADAPT_EVERY`` iterations residual balancing may halve or double it
@@ -110,11 +112,13 @@ class _WarmState:
     """Full splitting state attached to solver output for exact restarts.
 
     ``s`` and ``u`` are the stacked mirror and scaled dual: residual block
-    first (quantile loss only), then the difference block.
+    first (quantile loss only), then the difference block.  ``best_zd`` is
+    the difference block the fit read its detected set from.
     """
 
     s: np.ndarray
     u: np.ndarray
+    best_zd: np.ndarray
     rho: float
     problem_key: tuple
     stop_primal: float
@@ -207,18 +211,18 @@ def _clip_prox(v: np.ndarray, c, lo, hi) -> np.ndarray:
     return v + np.minimum(np.maximum(c - v, lo), hi)
 
 
-def _assemble(design, cfg, beta, zd, trace, state: _WarmState,
-              converged: bool, iterations: int) -> FitResult:
+def _assemble(design, cfg, beta, trace, state: _WarmState,
+              iterations: int) -> FitResult:
     g, p = design.g, design.p
     beta_gc = GroupedCoefficients.from_flat(beta, g, p)
     object.__setattr__(beta_gc, "_warm_state", state)
     detected = detection.detect_from_diffs(
-        zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
+        state.best_zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
     return FitResult(
         beta=beta_gc,
         detected_set=tuple(detected),
         objective_trace=tuple(trace),
-        converged=converged,
+        converged=state.converged,
         iterations=iterations,
         primal_residual=state.stop_primal,
         dual_residual=state.stop_dual,
@@ -228,12 +232,14 @@ def _assemble(design, cfg, beta, zd, trace, state: _WarmState,
 
 def _warm_arrays(cfg, key, design: GroupedDesign, D: DiffOperator,
                  need_zr: bool):
-    """Initial (beta0, s, u, rho, donor) from the warm-start field.
+    """Initial (beta0, zd0, s, u, rho, donor) from the warm-start field.
 
     A full state of matching shape restarts the splitting where it stopped
     (an LS fit takes the difference block of any state); otherwise the
     mirror starts at A b for the warm coefficients b (or at zero) with a
-    zero dual.  The residual block exists only if ``need_zr``.  ``rho`` is
+    zero dual.  The residual block exists only if ``need_zr``.  ``zd0`` is
+    the difference block the warm start's own fit read its detected set
+    from, None for a plain vector, which carries no state.  ``rho`` is
     None unless the state is of this very problem; ``donor`` is that state
     when it was converged, enabling restart acceptance at the residual
     levels already accepted once.
@@ -242,20 +248,21 @@ def _warm_arrays(cfg, key, design: GroupedDesign, D: DiffOperator,
     ws = cfg.warm_start
     beta0 = None if ws is None else ws.flat
     state = getattr(ws, "_warm_state", None)
+    zd0 = None if state is None else state.best_zd
     if state is not None and (not need_zr or state.s.size == m):
         same_problem = state.problem_key == key
         rho = min(max(state.rho, RHO_MIN), RHO_MAX) if same_problem else None
         donor = state if same_problem and state.converged else None
         # iterates are never written in place, so the state is shared
         k = state.s.size - m
-        return beta0, state.s[k:], state.u[k:], rho, donor
+        return beta0, zd0, state.s[k:], state.u[k:], rho, donor
     if beta0 is None:
         s = np.zeros(m)
     elif need_zr:
         s = np.concatenate((design.X @ beta0, D.apply(beta0)))
     else:
         s = D.apply(beta0)
-    return beta0, s, np.zeros(m), None, None
+    return beta0, zd0, s, np.zeros(m), None, None
 
 
 def _norm(v: np.ndarray) -> float:
@@ -331,8 +338,8 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
             return float(resid @ resid) + pen
         return float((resid * (tau - (resid < 0))).sum()) + pen
 
-    beta0, s, u, rho, donor = _warm_arrays(cfg, key, design, D,
-                                           need_zr=not ls)
+    beta0, zd0, s, u, rho, donor = _warm_arrays(cfg, key, design, D,
+                                                need_zr=not ls)
     if rho is None:
         rho = RHO_INIT * rho_scale
     if ls:
@@ -340,10 +347,11 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     lo, hi, kappa_rho = thresholds(rho)
     # the incumbent: every iterate is a fresh array, so it keeps references
     best, best_beta, best_zd, trace = np.inf, None, None, []
-    if beta0 is not None:
-        # never return anything worse than the starting point
-        best_zd = D.apply(beta0)
-        best, best_beta = merit(y - X @ beta0, best_zd), beta0
+    if zd0 is not None:
+        # never return anything worse than a vector that fit returned; D b0
+        # is never exactly fused, so its detected set is the one its fit read
+        best = merit(y - X @ beta0, D.apply(beta0))
+        best_beta, best_zd = beta0, zd0
     # restarting from a converged state of the same problem: accept
     # residual levels comparable to the ones already accepted at that state
     pri_floor = 2.0 * donor.stop_primal if donor is not None else 0.0
@@ -423,11 +431,10 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
                 rho = new_rho
                 lo, hi, kappa_rho = thresholds(rho)
 
-    state = _WarmState(s=s, u=u, rho=rho, problem_key=key,
-                       stop_primal=float(rnorm), stop_dual=float(snorm),
-                       converged=converged)
-    return _assemble(design, cfg, best_beta, best_zd, trace, state,
-                     converged, it)
+    state = _WarmState(s=s, u=u, best_zd=best_zd, rho=rho,
+                       problem_key=key, stop_primal=float(rnorm),
+                       stop_dual=float(snorm), converged=converged)
+    return _assemble(design, cfg, best_beta, trace, state, it)
 
 
 def fit(design: GroupedDesign, spec: ProblemSpec,

@@ -317,9 +317,11 @@ def _run_fresh(code, *args):
 
 
 def test_import_loads_no_scipy_optimize_or_integrate():
-    # nor any other scipy module: numpy is the only runtime dependency
+    # nor any other scipy module: numpy is the only runtime dependency; and
+    # no process pool, which only a parallel simulate run needs
     code = ("import sys, groupfuse, groupfuse.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy', 'multiprocessing', 'concurrent.futures.process'))))")
     assert _run_fresh(code).stdout.strip() == "[]"
 
 

@@ -199,11 +199,17 @@ def test_report_writers_round_trip(tmp_path):
 
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + 4  # header + one row per estimator
+    assert lines[0] == ("scenario,p,g,n,errors,changes,tau,gamma,q,M,"
+                        "estimator,med,mad,recovery,overestimation,misscls,"
+                        "converged_fraction")
 
     payload = json.loads(json_path.read_text())
     assert payload["schema_version"] == 1
     est = payload["scenarios"][0]["estimators"]
-    assert set(est) == set(sim.ESTIMATORS)
+    assert list(est) == list(sim.ESTIMATORS)
+    for name in sim.ESTIMATORS:
+        assert list(est[name]) == ["med", "mad", "recovery", "overestimation",
+                                   "misscls", "converged_fraction"]
     assert est["fused_ls"]["recovery"] == report.estimators["fused_ls"].recovery
 
     # timing must never leak into the files: rewriting a copied report with
@@ -223,7 +229,12 @@ def test_estimator_summary_is_plain_mean():
     report = run_monte_carlo(TINY, workers=1)
     for name in sim.ESTIMATORS:
         rs = report.runs[name]
-        assert report.estimators[name].mad == pytest.approx(
-            float(np.mean([r.mad for r in rs])))
-        assert report.estimators[name].misscls == pytest.approx(
-            float(np.mean([r.misscls for r in rs])))
+        summary = report.estimators[name]
+        assert summary.med == float(np.mean([r.med for r in rs]))
+        assert summary.mad == float(np.mean([r.mad for r in rs]))
+        assert summary.recovery == float(np.mean([r.recovery for r in rs]))
+        assert summary.overestimation == float(
+            np.mean([r.overestimation for r in rs]))
+        assert summary.misscls == float(np.mean([r.misscls for r in rs]))
+        assert summary.converged_fraction == float(
+            np.mean([r.converged for r in rs]))

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +8,8 @@ import scipy.linalg
 from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
                        objective)
 from groupfuse import solver
+from groupfuse.simulation import (MC_SOLVER_CONFIG, generate_instance,
+                                  load_scenario_grid)
 from groupfuse.solver import (DiffOperator, SolverConfig, SolverError,
                               default_schedules, fit)
 from helpers import (GridSpec, brute_force_fit, dense_diff_matrix,
@@ -162,6 +167,52 @@ def test_warm_start_plain_coefficients_accepted():
     start = GroupedCoefficients.from_flat([0.4, 1.6], 2, 1)
     result = fit(design, spec, SolverConfig(warm_start=start))
     np.testing.assert_allclose(result.beta.flat, [0.5, 1.5], atol=1e-6)
+
+
+def _desk_instance(cell, m):
+    conf = Path(__file__).resolve().parent.parent / "scripts/desk_grid.conf"
+    spec = load_scenario_grid(conf)[cell]
+    rng = np.random.default_rng((spec.seed, m))
+    return spec, generate_instance(spec, rng)[0]
+
+
+def test_plain_warm_start_reports_the_fits_detected_set():
+    # desk cell 0 (g = 20, Gaussian, 2 changes), m = 0: a plain copy of the
+    # fused LS fit carries no state, so it must not be returned with the
+    # detected set of its never exactly fused D b (19 pairs against 13)
+    spec, design = _desk_instance(0, 0)
+    fused = ProblemSpec(loss="ls", q=spec.q,
+                        lam=default_schedules(design.n, "fused")[0])
+    first = fit(design, fused, MC_SOLVER_CONFIG)
+    plain = GroupedCoefficients.from_flat(first.beta.flat.copy(),
+                                          design.g, design.p)
+    again = fit(design, fused, replace(MC_SOLVER_CONFIG, warm_start=plain))
+    assert len(first.detected_set) == 13
+    assert again.converged
+    assert again.detected_set == first.detected_set
+    assert again.objective == pytest.approx(first.objective, rel=1e-6)
+
+
+def test_returned_start_keeps_its_fits_detected_set():
+    # desk cell 2 (g = 20, Cauchy, 2 changes), m = 1: restarting the
+    # adaptive quantile refit on its own problem returns the start after one
+    # iteration, and with it the refit's detected set (0 pairs, not 19)
+    spec, design = _desk_instance(2, 1)
+    n = design.n
+    pilot = fit(design, ProblemSpec(loss="quantile", tau=spec.tau, q=spec.q,
+                                    lam=default_schedules(n, "fused")[0]),
+                MC_SOLVER_CONFIG)
+    adaptive = ProblemSpec(loss="quantile", tau=spec.tau, q=spec.q,
+                           lam=default_schedules(n, "adaptive")[0],
+                           weight_mode="adaptive", gamma=spec.gamma,
+                           pilot=pilot.beta)
+    refit = fit(design, adaptive,
+                replace(MC_SOLVER_CONFIG, warm_start=pilot.beta))
+    again = fit(design, adaptive,
+                replace(MC_SOLVER_CONFIG, warm_start=refit.beta))
+    assert again.iterations == 1
+    np.testing.assert_array_equal(again.beta.flat, refit.beta.flat)
+    assert again.detected_set == refit.detected_set == ()
 
 
 def test_warm_start_shape_mismatch():
