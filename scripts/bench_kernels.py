@@ -1,21 +1,28 @@
-"""Time b-update factorizations, solves and ADMM iterations, one BLAS thread.
+"""Time b-update factorizations, solves, ADMM and interior-point iterations.
 
     python3 scripts/bench_kernels.py [--src DIR] [--repeat 5]
 
 Imports groupfuse from DIR (default: this checkout's src/), so the same
-script times any other checkout too.  Prints one JSON object:
+script times any other checkout too, and runs with one BLAS thread.
+Prints one JSON object:
 
 - ``factor_ms``: milliseconds per ``solver._factorize`` call, and
   ``solve_us``: microseconds per solve through the callable it returns,
   for r = 20, 48 (the air dataset's g * p), 100 and 300, on the LS system
   2 X'X + D'D of a random n = r, p = 1 design;
 - ``iter_us``: microseconds per ADMM iteration of the fused fits, by loss,
-  on the eight desk-grid cells (p = 1, replication m = 0) and on the
-  p = 3, g = 100, two-change Gaussian cell of the full grid, at the Monte
-  Carlo solver settings, and on the air dataset (n = 357, g = 24, p = 2,
-  from ``datasets.write_hourly_profile_csv(n_days=357, seed=7)``) at the
+  on the eight desk-grid cells (p = 1, replication m = 0; LS only, since
+  their quantile fits take the LP route) and on the p = 3, g = 100,
+  two-change Gaussian cell of the full grid, at the Monte Carlo solver
+  settings, and on the air dataset (n = 357, g = 24, p = 2, from
+  ``datasets.write_hourly_profile_csv(n_days=357, seed=7)``) at the
   defaults of ``groupfuse fit --auto-lambda``.  Each is fit time over
-  iterations, so the factorization is included.
+  iterations, so the factorization is included;
+- ``lp_route``: the interior-point route, as ``us_per_iter`` (fit time
+  over iterations) and ``iters_per_fit``, for the fused quantile fits and
+  the adaptive refits warm-started from them on the desk cells at the
+  Monte Carlo solver settings, and for ``groupfuse fit --loss quantile
+  --q 1 --auto-lambda`` on the air dataset.
 
 Every figure is the best of ``--repeat`` rounds.
 """
@@ -97,6 +104,35 @@ def iter_us(designs, loss: str, cfg, repeat: int) -> float:
     return best
 
 
+def lp_route(designs, cfg, adaptive: bool, repeat: int) -> dict:
+    """us per interior-point iteration and iterations per fit."""
+    from dataclasses import replace
+
+    from groupfuse import ProblemSpec
+    from groupfuse.solver import default_schedules, fit
+    best = float("inf")
+    for _ in range(repeat):
+        busy = iters = fits = 0
+        for design, tau, q in designs:
+            spec = ProblemSpec(loss="quantile", tau=tau, q=q,
+                               lam=default_schedules(design.n, "fused")[0])
+            warm = cfg
+            if adaptive:
+                pilot = fit(design, spec, cfg)
+                spec = replace(spec, weight_mode="adaptive", pilot=pilot.beta,
+                               lam=default_schedules(design.n, "adaptive")[0])
+                warm = replace(cfg, warm_start=pilot.beta)
+            t0 = perf_counter()
+            res = fit(design, spec, warm)
+            busy += perf_counter() - t0
+            assert res.route == "ipm"
+            iters += res.iterations
+            fits += 1
+        best = min(best, busy / iters * 1e6)
+    return {"us_per_iter": round(best, 1),
+            "iters_per_fit": round(iters / fits, 2)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
@@ -109,9 +145,10 @@ def main() -> int:
     desk = load_scenario_grid(ROOT / "scripts" / "desk_grid.conf")
     p3 = [c for c in load_scenario_grid(ROOT / "scripts" / "full_grid.conf")
           if (c.p, c.g, c.error_dist, c.changes) == (3, 100, "gaussian", 2)]
+    air = air_design()
     sizes = (("desk", cell_designs(desk), MC_SOLVER_CONFIG),
              ("p3", cell_designs(p3), MC_SOLVER_CONFIG),
-             ("air", air_design(), solver.SolverConfig()))
+             ("air", air, solver.SolverConfig()))
     out = {
         "factor_ms": {r: round(factor_ms(solver, r, args.repeat), 4)
                       for r in SIZES},
@@ -120,7 +157,18 @@ def main() -> int:
         "iter_us": {f"{label}.{loss}": round(iter_us(designs, loss, cfg,
                                                      args.repeat), 1)
                     for label, designs, cfg in sizes
-                    for loss in ("ls", "quantile")},
+                    for loss in ("ls", "quantile")
+                    if (label, loss) != ("desk", "quantile")},
+        # None on a checkout without the LP route
+        "lp_route": {
+            "desk.fused": lp_route(sizes[0][1], MC_SOLVER_CONFIG, False,
+                                   args.repeat),
+            "desk.adaptive": lp_route(sizes[0][1], MC_SOLVER_CONFIG, True,
+                                      args.repeat),
+            "air_q1.fused": lp_route([(d, tau, 1) for d, tau, _ in air],
+                                     solver.SolverConfig(), False,
+                                     args.repeat),
+        } if hasattr(solver, "_lp_ipm") else None,
     }
     print(json.dumps(out))
     return 0

@@ -1,6 +1,7 @@
 """SHA-256 digests of many fits, to check that two checkouts fit bit for bit.
 
-    python3 scripts/fit_digest.py [--src DIR] [--quick]
+    python3 scripts/fit_digest.py [--src DIR] [--quick] [--per-fit OUT]
+                                  [--against OTHER]
 
 Imports groupfuse from DIR (default: this checkout's src/) and runs, with
 one BLAS thread:
@@ -17,10 +18,19 @@ one BLAS thread:
 - all-zero designs at g = 1, 3, 5 (p = 1) and g = 2 (p = 2), both losses,
   q = 1 and 2, with and without max_iter = 3.
 
-Prints one JSON object: the fit and iteration counts, a digest over each
-fit's coefficients, objective trace, iteration count, residuals, converged
-flag, detected set and returned warm state, and a digest over
-``objective`` evaluated at each fit.  Equal digests mean equal bits.
+Prints one JSON object: the fit and iteration counts, the fits per solver
+route, a digest over each fit's coefficients, objective trace, iteration
+count, residuals, converged flag, detected set and returned restart state
+(the splitting state of an ADMM fit; the problem, duality gap and converged
+flag of an LP-route fit), and a digest over ``objective`` evaluated at each
+fit.  Equal digests mean equal bits.
+
+``--per-fit OUT`` also writes one JSON record per fit: its index, what it
+is (``label``), its loss and shape (``ls``, ``quantile_lp`` for p = 1 or
+q = 1, ``quantile_socp`` otherwise), route, iterations, duality gap and
+digest.  ``--against OTHER`` compares the fits with such a file written
+from another checkout and adds, per shape and label, how many fits are
+equal and how many differ.
 """
 
 import argparse
@@ -40,39 +50,77 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def shape(spec, p):
+    if spec.loss == "ls":
+        return "ls"
+    return "quantile_lp" if p == 1 or spec.q == 1 else "quantile_socp"
+
+
 class Digest:
     def __init__(self, gf):
         self.gf = gf
         self.fits = hashlib.sha256()
         self.objectives = hashlib.sha256()
         self.count = self.iterations = 0
+        self.records = []
+        self._one = None
+
+    def _update(self, data: bytes):
+        self.fits.update(data)
+        self._one.update(data)
 
     def _array(self, a):
         if a is None:
-            self.fits.update(b"None")
+            self._update(b"None")
             return
         a = np.ascontiguousarray(a, dtype=float)
-        self.fits.update(repr(a.shape).encode())
-        self.fits.update(a.tobytes())
+        self._update(repr(a.shape).encode())
+        self._update(a.tobytes())
 
-    def fit(self, design, spec, cfg=None):
+    def fit(self, design, spec, cfg=None, label="fit"):
         res = self.gf.fit(design, spec, cfg)
+        self._one = hashlib.sha256()
         self.count += 1
         self.iterations += res.iterations
         self._array(res.beta.flat)
         self._array(np.array(res.objective_trace))
-        self.fits.update(repr((res.iterations, res.converged,
-                               res.primal_residual, res.dual_residual,
-                               res.detected_set,
-                               res.overparameterized)).encode())
+        self._update(repr((res.iterations, res.converged,
+                           res.primal_residual, res.dual_residual,
+                           res.detected_set,
+                           res.overparameterized)).encode())
         st = res.beta._warm_state
-        for a in (st.s, st.u):
-            self._array(a)
-        self.fits.update(repr((st.rho, st.problem_key, st.stop_primal,
+        # checkouts without the LP route return ADMM fits only
+        route = getattr(res, "route", "admm")
+        if route == "admm":
+            for a in (st.s, st.u):
+                self._array(a)
+            self._update(repr((st.rho, st.problem_key, st.stop_primal,
                                st.stop_dual, st.converged)).encode())
+        else:
+            self._update(repr((st.problem_key, st.duality_gap,
+                               st.converged)).encode())
         self.objectives.update(
             repr(self.gf.objective(design, spec, res.beta)).encode())
+        self.records.append({
+            "i": self.count - 1, "label": label, "loss": spec.loss,
+            "shape": shape(spec, design.p), "route": route,
+            "iterations": res.iterations,
+            "duality_gap": getattr(res, "duality_gap", None),
+            "sha256": self._one.hexdigest()})
         return res
+
+
+def compare(records, other) -> dict:
+    """Per shape and label, how many fits equal the other file's."""
+    if len(records) != len(other):
+        raise SystemExit(f"{len(records)} fits here, {len(other)} there")
+    out = {}
+    for mine, theirs in zip(records, other):
+        key = f"{mine['shape']}/{mine['label']}"
+        tally = out.setdefault(key, {"equal": 0, "differ": 0})
+        tally["equal" if mine["sha256"] == theirs["sha256"]
+              else "differ"] += 1
+    return dict(sorted(out.items()))
 
 
 def replication(dg, design, cell, cfg, restarts):
@@ -82,23 +130,25 @@ def replication(dg, design, cell, cfg, restarts):
     lam_a = gf.default_schedules(n, "adaptive")[0] if n >= 2 else 0.1
     for loss in ("ls", "quantile"):
         fused = gf.ProblemSpec(loss=loss, tau=cell.tau, q=cell.q, lam=lam_f)
-        pilot = dg.fit(design, fused, cfg)
+        pilot = dg.fit(design, fused, cfg, "pilot")
         adaptive = gf.ProblemSpec(loss=loss, tau=cell.tau, q=cell.q,
                                   lam=lam_a, weight_mode="adaptive",
                                   gamma=cell.gamma, pilot=pilot.beta)
-        refit = dg.fit(design, adaptive, replace(cfg, warm_start=pilot.beta))
+        refit = dg.fit(design, adaptive, replace(cfg, warm_start=pilot.beta),
+                       "refit")
         if not restarts:
             continue
-        dg.fit(design, adaptive, replace(cfg, warm_start=refit.beta))
+        dg.fit(design, adaptive, replace(cfg, warm_start=refit.beta),
+               "same_problem")
         dg.fit(design, replace(fused, lam=2.0 * lam_f),
-               replace(cfg, warm_start=pilot.beta))
+               replace(cfg, warm_start=pilot.beta), "double_lambda")
         other = "quantile" if loss == "ls" else "ls"
         dg.fit(design, replace(fused, loss=other),
-               replace(cfg, warm_start=pilot.beta))
+               replace(cfg, warm_start=pilot.beta), f"from_{loss}")
         plain = gf.GroupedCoefficients.from_flat(pilot.beta.flat.copy(),
                                                  design.g, design.p)
-        dg.fit(design, fused, replace(cfg, warm_start=plain))
-        dg.fit(design, fused, replace(cfg, max_iter=3))
+        dg.fit(design, fused, replace(cfg, warm_start=plain), "plain")
+        dg.fit(design, fused, replace(cfg, max_iter=3), "max_iter")
 
 
 def main() -> int:
@@ -106,6 +156,9 @@ def main() -> int:
     ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--quick", action="store_true",
                     help="leave out the p = 3, g = 100 cells")
+    ap.add_argument("--per-fit", help="write one JSON record per fit here")
+    ap.add_argument("--against",
+                    help="a --per-fit file of another checkout to compare")
     args = ap.parse_args()
     sys.path.insert(0, args.src)
     import groupfuse as gf
@@ -146,11 +199,22 @@ def main() -> int:
         for loss in ("ls", "quantile"):
             for q in (1, 2):
                 spec = gf.ProblemSpec(loss=loss, q=q, lam=0.2)
-                dg.fit(design, spec)
-                dg.fit(design, spec, gf.SolverConfig(max_iter=3))
-    print(json.dumps({"fits": dg.count, "iterations": dg.iterations,
-                      "fits_sha256": dg.fits.hexdigest(),
-                      "objectives_sha256": dg.objectives.hexdigest()}))
+                dg.fit(design, spec, None, "zero_design")
+                dg.fit(design, spec, gf.SolverConfig(max_iter=3),
+                       "zero_design_max_iter")
+    routes = {}
+    for rec in dg.records:
+        routes[rec["route"]] = routes.get(rec["route"], 0) + 1
+    out = {"fits": dg.count, "iterations": dg.iterations, "routes": routes,
+           "fits_sha256": dg.fits.hexdigest(),
+           "objectives_sha256": dg.objectives.hexdigest()}
+    if args.per_fit:
+        with open(args.per_fit, "w", encoding="utf-8") as fh:
+            json.dump(dg.records, fh, indent=0)
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            out["against"] = compare(dg.records, json.load(fh))
+    print(json.dumps(out))
     return 0
 
 

@@ -25,7 +25,8 @@ from .simulation import (ConfigError, format_table, load_scenario_grid,
                          run_monte_carlo, write_report_csv, write_report_json)
 from .solver import SolverConfig, SolverError, default_schedules, fit
 
-FIT_SCHEMA_VERSION = 1
+# 2 added diagnostics.route and diagnostics.duality_gap (also in the pilot)
+FIT_SCHEMA_VERSION = 2
 
 
 def _fail(message: str) -> int:
@@ -127,7 +128,9 @@ def cmd_fit(args) -> int:
             result = fit(design, spec, replace(cfg, warm_start=pilot.beta))
             pilot_info = {"converged": pilot.converged,
                           "iterations": pilot.iterations,
-                          "objective": pilot.objective}
+                          "objective": pilot.objective,
+                          "route": pilot.route,
+                          "duality_gap": pilot.duality_gap}
         else:
             pilot_lam = pilot_info = None
             spec = ProblemSpec(loss=args.loss, tau=args.tau, q=args.q,
@@ -168,6 +171,8 @@ def cmd_fit(args) -> int:
         "segments": segments,
         "diagnostics": {
             "converged": result.converged,
+            "route": result.route,
+            "duality_gap": result.duality_gap,
             "iterations": result.iterations,
             "objective": result.objective,
             "primal_residual": result.primal_residual,

@@ -204,8 +204,15 @@ class FitResult:
     block ``j`` differs from block ``j-1`` under the fusion tolerance.
     ``objective_trace`` records, per outer iteration, the objective of the
     best (incumbent) iterate seen so far; ``beta`` is that incumbent, so the
-    trace is non-increasing and ends at its minimum.  ``primal_residual``
-    and ``dual_residual`` are the last iteration's stopping residuals.
+    trace is non-increasing and ends at its minimum.  ``route`` names the
+    solver route, ``"ipm"`` (the interior-point LP route of quantile fits
+    with p = 1 or q = 1) or ``"admm"``.  ``duality_gap`` is the LP route's
+    certified relative gap, (objective - dual bound) / max(1, objective),
+    and None on ADMM.  ``converged`` means gap <= ``tol_rel`` on the LP
+    route, and the residual or step-stall rule on ADMM.
+    ``primal_residual`` and ``dual_residual`` are the last iteration's
+    stopping residuals on ADMM, and the equality residuals of the last
+    interior-point iterate (A'a and c - A b - (w - z)) on the LP route.
     """
 
     beta: GroupedCoefficients
@@ -216,6 +223,8 @@ class FitResult:
     primal_residual: float
     dual_residual: float
     overparameterized: bool = False
+    route: str = "admm"
+    duality_gap: float | None = None
 
     def __post_init__(self):
         g = self.beta.g

@@ -30,8 +30,11 @@ from .solver import SolverConfig, default_schedules, fit
 
 ESTIMATORS = ("fused_ls", "adaptive_ls", "fused_quantile", "adaptive_quantile")
 
-# Monte Carlo default: residuals at 1e-4 relative leave objective errors far
-# below the Monte Carlo noise floor while cutting iteration counts several-fold
+# Monte Carlo default for ADMM (LS fits; q = 2, p > 1 quantile fits):
+# residuals at 1e-4 relative leave objective errors far below the Monte
+# Carlo noise floor while cutting iteration counts several-fold.  LP-shaped
+# quantile fits iterate to a certified relative gap of IPM_GAP_REL = 1e-9
+# whatever the tolerance, and count as converged within tol_rel.
 MC_SOLVER_CONFIG = SolverConfig(tol_abs=1e-6, tol_rel=1e-4, max_iter=6000)
 
 # the (lo, hi) of the uniform jump magnitudes at a change location

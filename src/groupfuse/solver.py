@@ -1,9 +1,19 @@
 """Convex solver for fused-group regression.
 
 Minimizes  loss(y - X b) + n * lam * sum_{j=2}^g w_j ||b_j - b_{j-1}||_q
-by operator splitting (ADMM) on the successive-difference operator D.
+on one of two routes, chosen from the problem's shape alone:
 
-One loop serves both losses.  The constraint A b = s is held as one
+- **LP route** (``_lp_ipm``): a quantile fit with p = 1 or q = 1 is a
+  linear program.  A Frisch-Newton primal-dual interior-point method
+  (Portnoy & Koenker 1997) solves it on the augmented rows [X; 2 kappa D]
+  by Mehrotra's predictor-corrector, and stops on a certified duality gap:
+  ``converged`` means that the relative gap is at most ``tol_rel``.
+- **ADMM** (``_admm``): LS fits, and quantile fits with q = 2 and p > 1
+  (second-order cone programs), by operator splitting on the
+  successive-difference operator D.  ``converged`` means the residual or
+  step-stall rule below was met.
+
+One ADMM loop serves both losses.  The constraint A b = s is held as one
 stacked mirror s and one stacked scaled dual u.  For the quantile loss
 A = [X; D] and s = [y - zr; zd], so the residuals zr enter through the
 exact check prox; for the LS loss the quadratic is absorbed exactly into
@@ -11,12 +21,11 @@ the b-update and only the difference block exists (A = D, s = zd).
 Over-relaxation, the dual update, the primal residual and the step are
 then one vector operation each, and [X b; D b] is written into one buffer.
 
-Which prox runs: when the penalty is separable (p = 1 or q = 1), the soft
-threshold is the check prox at tau = 1/2 with twice the step, so the whole
-mirror's prox is one entrywise clip, s = v + clip(c - v, lo, hi) with
-c = [y; 0] and bounds rebuilt only when rho changes.  For q = 2 and p > 1
-the residual block is clipped and the difference block goes through the
-row-wise block prox ``penalties.prox_block_norms``.
+Which prox runs: the residual block is clipped to the check prox's dead
+zone, and the difference block goes through the row-wise block prox
+``penalties.prox_block_norms``.  An LS fit with a separable penalty
+(p = 1 or q = 1) soft-thresholds its differences by one entrywise clip,
+s = v + clip(-v, -k, k), with bounds rebuilt only when rho changes.
 
 The two constraint blocks of the quantile loss run at different
 augmented-Lagrangian rates (rho for the residuals, c * rho for the
@@ -35,11 +44,12 @@ therefore always its last iteration's.
 The b-update system is inverted once (for the LS loss, again whenever
 balancing changes rho), after a Cholesky factorization has confirmed it is
 positive definite, and every iteration solves by one product with the
-cached inverse.
+cached inverse.  The LP route factorizes its normal system A'QA the same
+way, once per iteration, after Jacobi scaling, and refines each solve.
 
-The recorded merit per outer iteration is the true objective of the
-incumbent (best-so-far) iterate, which is also what gets returned; a
-non-finite merit raises :class:`SolverError` naming the iteration.
+On both routes the recorded merit per iteration is the true objective of
+the incumbent (best-so-far) iterate, which is also what gets returned; a
+non-finite iterate raises :class:`SolverError` naming the iteration.
 
 The default tuning schedules live here too.
 """
@@ -65,26 +75,49 @@ OVER_RELAX = 1.5
 # residual balancing fires at most this often: on piecewise-linear problems
 # every rescaling of the duals restarts the tail of the iteration
 ADAPT_EVERY = 50
+# the LP route stops once the certified relative duality gap is this small
+IPM_GAP_REL = 1e-9
+# ... or once the gap has not halved over this many iterations (the
+# rounding floor)
+IPM_STALL = 5
+# share of the step to the boundary that the LP route takes
+IPM_STEP = 0.99995
+# the ridge on the unit diagonal of the LP route's scaled normal systems,
+# used when the rows are of deficient rank, which the squared smallest
+# Cholesky pivot of the scaled least-squares system shows below IPM_RANK_TOL
+IPM_RIDGE = 1e-12
+IPM_RANK_TOL = 1e-10
+# the LP route's start lifts multipliers of residuals below this share of
+# the largest one off zero
+IPM_START_FLOOR = 1e-10
 
 
 class SolverError(RuntimeError):
-    """Hard numerical failure inside the splitting loop."""
+    """Hard numerical failure inside a solver route."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Splitting-solver knobs.
+    """Solver knobs for both routes (see the module docstring).
 
-    ``tol_abs``/``tol_rel`` feed the standard primal/dual residual stopping
-    rule, and ``fusion_tol`` is the post-hoc threshold used to read the
-    detected difference set off the solution.  ``warm_start`` accepts any
-    coefficient vector; vectors returned by :func:`fit` carry the full
-    splitting state, restart at the fixed point, and the restart never
-    returns anything worse than them (a returned start keeps the detected
-    set its fit reported).  A plain vector is only a starting point.  Only
-    a restart on the same design (the same ``GroupedDesign`` object) with
-    the same loss, tau, q and pair weights also resumes the returned rate
-    and accepts the residual levels that fit stopped at.
+    ``max_iter`` caps the iterations of either route.  ``tol_rel`` is the
+    convergence tolerance: on the LP route, the certified relative duality
+    gap (the route itself iterates on to ``IPM_GAP_REL``); on ADMM, the
+    relative part of the standard primal/dual residual stopping rule.
+    ``tol_abs`` is that rule's absolute part and reaches ADMM only.
+    ``fusion_tol`` is the post-hoc threshold used to read the detected
+    difference set off the solution.
+
+    ``warm_start`` accepts any coefficient vector.  On ADMM, vectors
+    returned by an ADMM fit carry the full splitting state, restart at the
+    fixed point, and the restart never returns anything worse than them (a
+    returned start keeps the detected set its fit reported).  A plain
+    vector, or one from the LP route, is only a starting point.  Only a
+    restart on the same design (the same ``GroupedDesign`` object) with the
+    same loss, tau, q and pair weights also resumes the returned rate and
+    accepts the residual levels that fit stopped at.  The LP route starts
+    cold, except that a vector it returned for the same problem, with a gap
+    within ``tol_rel``, is returned at once (one iteration).
 
     The augmented-Lagrangian rate starts at ``RHO_INIT``; every
     ``ADAPT_EVERY`` iterations residual balancing may halve or double it
@@ -126,6 +159,22 @@ class _WarmState:
     converged: bool
 
 
+@dataclass(frozen=True, eq=False)
+class _LPState:
+    """What a restart needs of a fit on the LP route.
+
+    ``stop_primal`` and ``stop_dual`` are the last iterate's equality
+    residuals, ``duality_gap`` the certified relative gap of the returned
+    coefficients.
+    """
+
+    problem_key: tuple
+    duality_gap: float
+    stop_primal: float
+    stop_dual: float
+    converged: bool
+
+
 class DiffOperator:
     """Implicit ((g-1)*p) x (g*p) successive-difference operator."""
 
@@ -150,14 +199,19 @@ class DiffOperator:
         out[self.p:] += d
         return out
 
-    def gram(self) -> np.ndarray:
-        """D'D in closed form: the path-graph Laplacian (x) I_p."""
+    def gram(self, weights=None) -> np.ndarray:
+        """D'WD in closed form: the path-graph Laplacian (x) I_p.
+
+        ``weights`` (one per difference row, default all 1) weight the
+        rows, which makes it a weighted path-graph Laplacian per coordinate.
+        """
+        w = 1.0 if weights is None else weights
         G = np.zeros((self.cols, self.cols))
         i = np.arange(self.rows)
         # difference row i pairs column i with column i + p
-        G[i, i] += 1.0
-        G[i + self.p, i + self.p] += 1.0
-        G[i, i + self.p] = G[i + self.p, i] = -1.0
+        G[i, i] += w
+        G[i + self.p, i + self.p] += w
+        G[i, i + self.p] = G[i + self.p, i] = -w
         return G
 
 
@@ -211,13 +265,15 @@ def _clip_prox(v: np.ndarray, c, lo, hi) -> np.ndarray:
     return v + np.minimum(np.maximum(c - v, lo), hi)
 
 
-def _assemble(design, cfg, beta, trace, state: _WarmState,
+def _assemble(design, cfg, beta, trace, state, zd: np.ndarray,
               iterations: int) -> FitResult:
+    """The FitResult of ``beta``; its detected set is read off ``zd``."""
     g, p = design.g, design.p
     beta_gc = GroupedCoefficients.from_flat(beta, g, p)
     object.__setattr__(beta_gc, "_warm_state", state)
     detected = detection.detect_from_diffs(
-        state.best_zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
+        zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
+    ipm = isinstance(state, _LPState)
     return FitResult(
         beta=beta_gc,
         detected_set=tuple(detected),
@@ -227,6 +283,8 @@ def _assemble(design, cfg, beta, trace, state: _WarmState,
         primal_residual=state.stop_primal,
         dual_residual=state.stop_dual,
         overparameterized=design.r > design.n,
+        route="ipm" if ipm else "admm",
+        duality_gap=state.duality_gap if ipm else None,
     )
 
 
@@ -248,6 +306,8 @@ def _warm_arrays(cfg, key, design: GroupedDesign, D: DiffOperator,
     ws = cfg.warm_start
     beta0 = None if ws is None else ws.flat
     state = getattr(ws, "_warm_state", None)
+    if not isinstance(state, _WarmState):
+        state = None  # a plain vector, or one from the LP route
     zd0 = None if state is None else state.best_zd
     if state is not None and (not need_zr or state.s.size == m):
         same_problem = state.problem_key == key
@@ -265,6 +325,52 @@ def _warm_arrays(cfg, key, design: GroupedDesign, D: DiffOperator,
     return beta0, zd0, s, np.zeros(m), None, None
 
 
+def _jacobi(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sc, sc M sc) with sc = diag(M)^(-1/2): a unit diagonal.
+
+    A zero diagonal entry (a coefficient that nothing constrains) is left
+    unscaled.
+    """
+    diag = M.diagonal()
+    sc = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    scaled = sc[:, None] * M
+    scaled *= sc
+    return sc, scaled
+
+
+def _full_rank(M: np.ndarray) -> bool:
+    """Whether the scaled M is positive definite with room to spare."""
+    try:
+        L = np.linalg.cholesky(_jacobi(M)[1])
+    except np.linalg.LinAlgError:
+        return False
+    return float(L.diagonal().min()) ** 2 > IPM_RANK_TOL
+
+
+def _refined_solve(M: np.ndarray, ridge: float):
+    """A solve of the normal system M, accurate where M is ill conditioned.
+
+    The Jacobi-scaled system plus ``ridge`` on its unit diagonal is
+    factorized through :func:`_factorize`; each solve then takes one step
+    of iterative refinement against M itself, which keeps the equality
+    residual A'a of the interior-point iterates near rounding level.
+    """
+    sc, scaled = _jacobi(M)
+    scaled[np.diag_indices_from(M)] = 1.0 + ridge
+    inner = _factorize(scaled)
+
+    def solve(rhs):
+        x = sc * inner(sc * rhs)
+        return x + sc * inner(sc * (rhs - M @ x))
+    return solve
+
+
+def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
+    """The largest step a with x + a dx >= 0 (inf if dx >= 0)."""
+    neg = dx < 0
+    return float((-x[neg] / dx[neg]).min()) if neg.any() else math.inf
+
+
 def _norm(v: np.ndarray) -> float:
     # np.linalg.norm of a 1-D float array is exactly sqrt(v.dot(v))
     return math.sqrt(v @ v)
@@ -272,7 +378,7 @@ def _norm(v: np.ndarray) -> float:
 
 def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
           kappa: np.ndarray) -> FitResult:
-    """The splitting loop for either loss.
+    """The splitting loop for LS fits and q = 2, p > 1 quantile fits.
 
     The constraint A b = s stacks the residual block X b (quantile loss
     only) on the difference block D b, so the over-relaxation, the dual
@@ -293,8 +399,9 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     tau, q = spec.tau, spec.q
     if (kappa < 0).any():
         raise ValueError("kappa must be nonnegative")
-    # a separable penalty is proxed with the residuals by one clip
-    separable = p == 1 or q == 1
+    # an LS fit soft-thresholds a separable penalty by one clip (separable
+    # quantile fits take the LP route)
+    separable = ls and (p == 1 or q == 1)
     max_iter, tol_rel = cfg.max_iter, cfg.tol_rel
     key = _problem_key(design, spec, kappa)
     gram_d = D.gram()
@@ -327,7 +434,8 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     def thresholds(rho):
         """(lo, hi, kappa / rho_d): the clip bounds and the block prox's."""
         kappa_rho = kappa / (rho * c_ratio)
-        # a separable penalty's thresholds join the residuals' in the clip
+        # the clip holds the residuals (quantile) or a separable penalty's
+        # soft threshold (LS)
         clipped = kappa_rho if separable else kappa_rho[:0]
         lo, hi = _clip_bounds(1.0 / rho, tau, clipped, off, p)
         return lo, hi, kappa_rho
@@ -434,17 +542,169 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     state = _WarmState(s=s, u=u, best_zd=best_zd, rho=rho,
                        problem_key=key, stop_primal=float(rnorm),
                        stop_dual=float(snorm), converged=converged)
-    return _assemble(design, cfg, best_beta, trace, state, it)
+    return _assemble(design, cfg, best_beta, trace, state, best_zd, it)
+
+
+def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
+            kappa: np.ndarray) -> FitResult:
+    """Frisch-Newton interior point for an LP-shaped quantile fit.
+
+    With p = 1 or q = 1 the objective is a weighted L1 regression on the
+    rows A = [X; 2 kappa D] (rows with kappa = 0 dropped) and c = [y; 0]:
+    the residual rows carry the check loss at tau and the penalty rows at
+    1/2.  Its dual is max c'a subject to A'a = 0 and a in the box
+    [t - 1, t] (t = tau on residual rows, 1/2 on penalty rows), so every
+    box has width 1.  Mehrotra's predictor-corrector runs on the slacks
+    d = a - (t - 1) and s = t - a with multipliers z and w, where
+    c - A b = w - z; each step solves one normal system A'QA, built in
+    closed form, for the coefficients b.
+    """
+    n, g, p = design.n, design.g, design.p
+    X, y, tau = design.X, design.y, spec.tau
+    Xt = np.ascontiguousarray(X.T)
+    D = DiffOperator(g, p)
+    if (kappa < 0).any():
+        raise ValueError("kappa must be nonnegative")
+    key = _problem_key(design, spec, kappa)
+    kr = np.repeat(kappa, p)
+    keep = np.flatnonzero(kr > 0)
+    kk = 2.0 * kr[keep]
+    N = n + keep.size
+    t = np.concatenate((np.full(n, tau), np.full(keep.size, 0.5)))
+    c = np.concatenate((y, np.zeros(keep.size)))
+
+    def objective(b):
+        resid = y - X @ b
+        pen = float(kappa @ penalties.block_norms(
+            D.apply(b).reshape(g - 1, p), spec.q))
+        return float((resid * (tau - (resid < 0))).sum()) + pen
+
+    def A(b):
+        return np.concatenate((X @ b, kk * D.apply(b)[keep]))
+
+    def At(v):
+        vd = np.zeros(D.rows)
+        vd[keep] = kk * v[n:]
+        return Xt @ v[:n] + D.adjoint(vd)
+
+    def normal(qv, it):
+        """A'QA in closed form; raises if it is not finite."""
+        wd = np.zeros(D.rows)
+        wd[keep] = kk * kk * qv[n:]
+        M = Xt @ (qv[:n, None] * X)
+        M += D.gram(wd)
+        if not np.isfinite(M).all():
+            raise SolverError(f"non-finite iterate at iteration {it} "
+                              "(normal matrix)")
+        return M
+
+    ws = cfg.warm_start
+    state = getattr(ws, "_warm_state", None)
+    if (isinstance(state, _LPState) and state.problem_key == key
+            and state.duality_gap <= cfg.tol_rel):
+        # a fit of this very problem, certified to this fit's tolerance
+        beta = ws.flat
+        return _assemble(design, cfg, beta, [objective(beta)], state,
+                         D.apply(beta), 1)
+
+    # start: a = 0 (so A'a = 0 exactly) and b the least-squares fit of
+    # A b = c, with w - z = c - A b split into positive parts
+    d, s = 1.0 - t, t.copy()
+    M = normal(np.ones(N), 1)
+    # A of deficient rank (lambda = 0 with r > n, say) needs a ridge, which
+    # would stall a full-rank fit whose vertex is degenerate
+    ridge = 0.0 if _full_rank(M) else IPM_RIDGE
+    solve_ls = _refined_solve(M, ridge)
+    b = solve_ls(At(c))
+
+    def lower_bound(a):
+        """c'a at a certainly feasible dual point made from ``a``.
+
+        ``a`` is projected onto A'a = 0 through the least-squares system,
+        then scaled toward 0 (which is feasible) until it lies in the box.
+        """
+        af = a - A(solve_ls(At(a)))
+        over = float(np.maximum(af / t, af / (t - 1.0)).max(initial=0.0))
+        return float(y @ af[:n]) / max(1.0, over)
+
+    r = c - A(b)
+    w, z = np.maximum(r, 0.0), np.maximum(-r, 0.0)
+    # a zero residual would make both multipliers 0 (an all-zero design's
+    # penalty rows, say), so residuals that small are lifted off zero
+    lift = IPM_START_FLOOR * max(1.0, float(np.abs(r).max()))
+    tiny = np.abs(r) < lift
+    w[tiny] += lift
+    z[tiny] += lift
+
+    best, best_b, best_dual = np.inf, b, -np.inf
+    trace, gaps = [], []
+    gap = np.inf
+    it = 0
+    for it in range(1, cfg.max_iter + 1):
+        qv = 1.0 / (z / d + w / s)
+        solve = None  # free the last system before building this one
+        solve = _refined_solve(normal(qv, it), ridge)
+        r1 = -At(d - (1.0 - t))  # A'a = 0 at a feasible dual point
+        r3 = c - A(b) + z - w
+
+        def direction(r4, r5):
+            rhat = r3 + r4 / d - r5 / s
+            db = solve(At(qv * rhat) - r1)
+            dd = qv * (rhat - A(db))
+            return db, dd, (r4 - z * dd) / d, (r5 + w * dd) / s
+
+        # predictor: the affine-scaling direction
+        db, dd, dz, dw = direction(-d * z, -s * w)
+        ap = min(1.0, _max_step(d, dd), _max_step(s, -dd))
+        ad = min(1.0, _max_step(z, dz), _max_step(w, dw))
+        mu = (d @ z + s @ w) / (2 * N)
+        mu_aff = ((d + ap * dd) @ (z + ad * dz)
+                  + (s - ap * dd) @ (w + ad * dw)) / (2 * N)
+        sm = (mu_aff / mu) ** 3 * mu
+        # corrector: centre, and cancel the predictor's second-order term
+        db, dd, dz, dw = direction(sm - d * z - dd * dz,
+                                   sm - s * w + dd * dw)
+        ap = min(1.0, IPM_STEP * min(_max_step(d, dd), _max_step(s, -dd)))
+        ad = min(1.0, IPM_STEP * min(_max_step(z, dz), _max_step(w, dw)))
+        d = d + ap * dd
+        s = s - ap * dd
+        b = b + ad * db
+        z = z + ad * dz
+        w = w + ad * dw
+
+        obj = objective(b)
+        if not (math.isfinite(obj) and np.isfinite(d).all()):
+            raise SolverError(f"non-finite iterate at iteration {it}")
+        if obj < best:
+            best, best_b = obj, b
+        trace.append(best)
+        best_dual = max(best_dual, lower_bound(d - (1.0 - t)))
+        gap = (best - best_dual) / max(1.0, best)
+        gaps.append(gap)
+        if gap <= IPM_GAP_REL:
+            break
+        # the rounding floor: the gap has stopped falling
+        if it > IPM_STALL and gap > 0.5 * gaps[-1 - IPM_STALL]:
+            break
+
+    # the equality residuals of the last iterate: A'a and c - A b - (w - z)
+    state = _LPState(problem_key=key, duality_gap=gap,
+                     stop_primal=_norm(At(d - (1.0 - t))),
+                     stop_dual=_norm(c - A(b) + z - w),
+                     converged=gap <= cfg.tol_rel)
+    return _assemble(design, cfg, best_b, trace, state, D.apply(best_b), it)
 
 
 def fit(design: GroupedDesign, spec: ProblemSpec,
         cfg: SolverConfig | None = None) -> FitResult:
     """Compute a fused-group estimate for ``spec`` on ``design``.
 
-    Returns a :class:`FitResult` whose objective is within solver tolerance
-    of the global minimum (the problem is convex).  Non-convergence within
-    ``max_iter`` is reported via ``converged=False``, not raised; NaNs in
-    the iterates raise :class:`SolverError` naming the iteration.
+    Quantile fits with p = 1 or q = 1 take the LP route, every other fit
+    ADMM (see the module docstring); ``FitResult.route`` says which, and
+    ``FitResult.duality_gap`` holds the LP route's certified relative gap.
+    Non-convergence within ``max_iter`` is reported via ``converged=False``,
+    not raised; a non-finite iterate raises :class:`SolverError` naming the
+    iteration.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -462,6 +722,8 @@ def fit(design: GroupedDesign, spec: ProblemSpec,
         )
     weights = spec.pair_weights(design.n, g)
     kappa = design.n * spec.lam * weights
+    if spec.loss == "quantile" and (p == 1 or spec.q == 1):
+        return _lp_ipm(design, spec, cfg, kappa)
     return _admm(design, spec, cfg, kappa)
 
 

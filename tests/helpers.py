@@ -22,6 +22,31 @@ from groupfuse.simulation import ScenarioSpec, generate_instance
 from groupfuse.solver import default_schedules
 
 
+def lp_optimum(design: GroupedDesign, spec: ProblemSpec) -> float:
+    """Exact optimum of an LP-shaped quantile fit (p = 1 or q = 1), by HiGHS.
+
+    The primal split form (Koenker & Bassett 1978): X b + u+ - u- = y and
+    D b - v+ + v- = 0 with u, v >= 0, minimizing tau u+ + (1 - tau) u- plus
+    kappa (v+ + v-) on each difference row.
+    """
+    n, g, p = design.n, design.g, design.p
+    r, m = g * p, (g - 1) * p
+    kappa = np.repeat(n * spec.lam * spec.pair_weights(n, g), p)
+    A = np.block([
+        [design.X, np.eye(n), -np.eye(n), np.zeros((n, 2 * m))],
+        [dense_diff_matrix(g, p), np.zeros((m, 2 * n)), -np.eye(m),
+         np.eye(m)]])
+    cost = np.concatenate((np.zeros(r), np.full(n, spec.tau),
+                           np.full(n, 1.0 - spec.tau), kappa, kappa))
+    res = scipy.optimize.linprog(
+        cost, A_eq=A, b_eq=np.concatenate((design.y, np.zeros(m))),
+        bounds=[(None, None)] * r + [(0, None)] * (2 * n + 2 * m),
+        method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def ternary_min(f, lo: float, hi: float, iters: int = 160) -> float:
     """Argmin of a convex scalar function on [lo, hi].
 

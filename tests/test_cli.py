@@ -110,7 +110,7 @@ def test_cmd_fit_writes_result_and_segments(tmp_path, hourly_csv):
                  "--auto-lambda", "--standardize", "--out", str(out)])
     assert code in (0, 2)
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["g"] == 24 and payload["p"] == 2
     assert payload["estimator"]["loss"] == "quantile"
     assert payload["standardize"] is not None
@@ -191,6 +191,24 @@ def test_cmd_fit_input_errors_exit_1(tmp_path, capsys):
         assert "error: non-finite iterate at iteration 1" in \
             capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--standardize"], ["--adaptive"]],
+                         ids=["q1", "q1_std", "q1_adaptive"])
+def test_cmd_fit_air_quantile_q1_converges(tmp_path, extra):
+    # the air-profile CSV (g = 24, p = 2) at default settings: a q = 1
+    # quantile fit is a linear program, solved and certified by the
+    # interior-point route (ADMM stopped at max_iter here, exit 2)
+    path = tmp_path / "air.csv"
+    write_hourly_profile_csv(path, n_days=357, seed=7)
+    out = tmp_path / "fit.json"
+    code = main(["fit", str(path), "--response", "benzene_max", "--loss",
+                 "quantile", "--q", "1", "--auto-lambda", *extra,
+                 "--out", str(out)])
+    assert code == 0
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert diag["converged"] and diag["route"] == "ipm"
+    assert diag["duality_gap"] <= 1e-6
 
 
 def test_cmd_fit_nonconvergence_exit_2(tmp_path):

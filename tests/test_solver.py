@@ -127,8 +127,11 @@ def test_warm_start_from_solution_is_instant(spec):
 def test_warm_state_resumes_rate_only_on_the_same_design(loss):
     rng = np.random.default_rng(22)
     X = rng.standard_normal((12, 4))
-    design = GroupedDesign(X=X, y=rng.standard_normal(12), g=4, p=1)
-    other = GroupedDesign(X=X, y=rng.standard_normal(12), g=4, p=1)
+    # a quantile fit at p = 1 is a linear program and takes the interior
+    # point route, which keeps no splitting state: run it at p = 2, q = 2
+    g, p = (4, 1) if loss == "ls" else (2, 2)
+    design = GroupedDesign(X=X, y=rng.standard_normal(12), g=g, p=p)
+    other = GroupedDesign(X=X, y=rng.standard_normal(12), g=g, p=p)
     spec = ProblemSpec(loss=loss, q=2, lam=0.2)
     first = fit(design, spec)
     assert first.converged
@@ -261,25 +264,27 @@ def test_inf_iterate_raises_named_iteration(monkeypatch, loss):
 _MC_TOLS = {"tol_abs": 1e-6, "tol_rel": 1e-4}
 
 
-# One small fit per way a fit stops, with the iteration count, converged
-# flag and both residuals that the same rule gave while the dual residual
-# was still computed in every iteration.  The stall fits stop on the step
-# rule with the dual test failing; the max_iter = 7 fits end on an
-# iteration that is neither a balancing step nor a primal pass.
+# One small ADMM fit per way a fit stops, with the iteration count,
+# converged flag and both residuals that the same rule gave while the dual
+# residual was still computed in every iteration (the quantile fits at
+# p = 2, q = 2: LP-shaped ones take the interior-point route).  The stall
+# fits stop on the step rule with the dual test failing; the max_iter = 7
+# fits end on an iteration that is neither a balancing step nor a primal
+# pass.
 @pytest.mark.parametrize(
     "seed, loss, q, lam, cfg, iterations, converged, primal, dual", [
         (0, "ls", 1, 0.1, {}, 17, True,
          6.762593988962688e-07, 1.5617315851646333e-06),
-        (0, "quantile", 1, 0.1, {}, 1038, True,
-         3.940525331960629e-06, 5.965751596876007e-07),
+        (1, "quantile", 2, 0.1, {}, 204, True,
+         1.634581560154887e-06, 8.19118724810293e-07),
         (1, "ls", 2, 0.01, _MC_TOLS, 24, True,
          4.867700736144806e-06, 2.4724513026955555e-05),
-        (4, "quantile", 1, 0.01, _MC_TOLS, 210, True,
-         2.978441574835308e-05, 0.00017129518647001528),
+        (5, "quantile", 2, 0.01, _MC_TOLS, 74, True,
+         2.0280599363374357e-05, 4.897987171479434e-05),
         (0, "ls", 1, 0.1, {"max_iter": 7}, 7, False,
          0.0019509933051655357, 0.0050932144409084725),
-        (0, "quantile", 1, 0.1, {"max_iter": 7}, 7, False,
-         0.07726618020586391, 0.2686634527823751),
+        (1, "quantile", 2, 0.1, {"max_iter": 7}, 7, False,
+         0.07417608776520598, 0.25823217956728195),
     ], ids=["residual-ls", "residual-quantile", "stall-ls", "stall-quantile",
             "max_iter-ls", "max_iter-quantile"])
 def test_stop_residuals_pinned(seed, loss, q, lam, cfg, iterations,
