@@ -201,7 +201,10 @@ class FitResult:
     """Everything a fused-group fit reports.
 
     ``detected_set`` holds the 1-based pair labels ``j`` in {2..g} for which
-    block ``j`` differs from block ``j-1`` under the fusion tolerance.
+    block ``j`` differs from block ``j-1`` under the fusion tolerance, read
+    off the difference mirror on ADMM and, on a converged LP-route fit, off
+    a point within ``tol_rel`` of the optimum that fuses the differences
+    the tolerance cannot resolve.
     ``objective_trace`` records, per outer iteration, the objective of the
     best (incumbent) iterate seen so far; ``beta`` is that incumbent, so the
     trace is non-increasing and ends at its minimum.  ``route`` names the

@@ -7,7 +7,10 @@ on one of two routes, chosen from the problem's shape alone:
   linear program.  A Frisch-Newton primal-dual interior-point method
   (Portnoy & Koenker 1997) solves it on the augmented rows [X; 2 kappa D]
   by Mehrotra's predictor-corrector, and stops on a certified duality gap:
-  ``converged`` means that the relative gap is at most ``tol_rel``.
+  ``converged`` means that the relative gap is at most ``tol_rel``.  The
+  detected set of a converged fit is read off a point that fuses the
+  optimum's differences which cost less than ``tol_rel`` to fuse
+  (``_fused_diffs``); the coefficients stay the optimum.
 - **ADMM** (``_admm``): LS fits, and quantile fits with q = 2 and p > 1
   (second-order cone programs), by operator splitting on the
   successive-difference operator D.  ``converged`` means the residual or
@@ -106,7 +109,9 @@ class SolverConfig:
     relative part of the standard primal/dual residual stopping rule.
     ``tol_abs`` is that rule's absolute part and reaches ADMM only.
     ``fusion_tol`` is the post-hoc threshold used to read the detected
-    difference set off the solution.
+    difference set off the solution.  On the LP route ``tol_rel`` also
+    bounds what fusing the optimum's unresolvable differences may cost
+    (see ``_fused_diffs``).
 
     ``warm_start`` accepts any coefficient vector.  On ADMM, vectors
     returned by an ADMM fit carry the full splitting state, restart at the
@@ -165,11 +170,12 @@ class _LPState:
 
     ``stop_primal`` and ``stop_dual`` are the last iterate's equality
     residuals, ``duality_gap`` the certified relative gap of the returned
-    coefficients.
+    coefficients, and ``zd`` the differences its detected set was read off.
     """
 
     problem_key: tuple
     duality_gap: float
+    zd: np.ndarray
     stop_primal: float
     stop_dual: float
     converged: bool
@@ -545,6 +551,126 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     return _assemble(design, cfg, best_beta, trace, state, best_zd, it)
 
 
+def _best_levels(t: np.ndarray, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Per row, a minimizer v of sum_i w_i rho_{tau_i}(t_i - v).
+
+    That sum is convex and piecewise linear in v with kinks at the t_i; its
+    slope just above the k-th smallest t is sum_{i<=k} w_i (1 - tau_i) -
+    sum_{i>k} w_i tau_i, and the first kink where it turns nonnegative is a
+    minimizer (a weighted quantile).
+    """
+    rows = np.arange(t.shape[0])[:, None]
+    order = np.argsort(t, axis=1, kind="stable")
+    t, w, tau = t[rows, order], w[rows, order], tau[rows, order]
+    up = np.cumsum(w * (1.0 - tau), axis=1)
+    down = (w * tau).sum(axis=1, keepdims=True) - np.cumsum(w * tau, axis=1)
+    return t[rows[:, 0], np.argmax(up >= down, axis=1)]
+
+
+def _fused_diffs(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
+                 kappa: np.ndarray, beta: np.ndarray, bound: float,
+                 objective) -> np.ndarray:
+    """D b of a point b with fewer differences, within ``tol_rel`` of ``bound``.
+
+    An LP-shaped fit's exact optimum ``beta`` often keeps differences that
+    cost less than ``tol_rel`` of the objective to fuse: differences that a
+    fit at that tolerance cannot tell from zero.  Its penalty is
+    sum_j kappa_j sum_k |b_jk - b_(j-1)k|, so one coordinate k of a run of
+    groups can move to a common level v, with everything else fixed, by a
+    weighted quantile (:func:`_best_levels`) of the residuals' ratios and
+    the two neighbours' levels.  Starting at ``beta``, each round merges,
+    in one coordinate, the two runs beside the difference whose merger
+    costs least, re-levels the runs of that coordinate one at a time, and
+    keeps the result while its certified relative gap
+    (F(b) - bound) / max(1, F(b)) stays within ``tol_rel``, F being
+    ``objective`` of the flat coefficients.  Every kept round merges two
+    runs, so there are at most as many rounds as difference rows.
+    """
+    X, y, tau = design.X, design.y, spec.tau
+    n, g, p = design.n, design.g, design.p
+    D = DiffOperator(g, p)
+    B = beta.reshape(g, p).copy()
+    Xg = X.reshape(n, g, p)
+    # prefix sums over groups of each coordinate's columns
+    CX = np.zeros((n, g + 1, p))
+    np.cumsum(Xg, axis=1, out=CX[:, 1:])
+    pad_k = np.concatenate(([0.0], kappa, [0.0]))
+
+    def prefix(bk, k):
+        """Prefix sums over groups of coordinate k's share of X b."""
+        cxb = np.zeros((n, g + 1))
+        np.cumsum(Xg[:, :, k] * bk, axis=1, out=cxb[:, 1:])
+        return cxb
+
+    def relevel(bk, cxb, resid, k, a0, a1):
+        """(v, cost, residuals): the best common level of coordinate k on
+        groups a0[i]..a1[i]-1, the objective change and new residuals.
+
+        ``cxb`` needs to be current only inside the runs.
+        """
+        x = (CX[:, a1, k] - CX[:, a0, k]).T
+        rb = resid + (cxb[:, a1] - cxb[:, a0]).T
+        nz = x != 0.0
+        ratio = np.divide(rb, x, out=np.zeros_like(rb), where=nz)
+        # the neighbours' levels enter as kappa |c - v| = 2 kappa rho_1/2
+        left = bk[np.maximum(a0 - 1, 0)]
+        right = bk[np.minimum(a1, g - 1)]
+        t = np.concatenate((ratio, left[:, None], right[:, None]), axis=1)
+        w = np.concatenate((np.abs(x), 2.0 * pad_k[a0, None],
+                            2.0 * pad_k[a1, None]), axis=1)
+        tt = np.concatenate((np.where(x > 0.0, tau, 1.0 - tau),
+                             np.full((a0.size, 2), 0.5)), axis=1)
+        v = _best_levels(t, w, tt)
+        new = rb - x * v[:, None]
+        pen = np.concatenate(([0.0], np.cumsum(kappa * np.abs(np.diff(bk)))))
+        lo, hi = np.maximum(a0 - 1, 0), np.minimum(a1, g - 1)
+        cost = ((new * (tau - (new < 0))).sum(axis=1)
+                - float((resid * (tau - (resid < 0))).sum())
+                + pad_k[a0] * np.abs(v - left) + pad_k[a1] * np.abs(right - v)
+                - (pen[hi] - pen[lo]))
+        return v, cost, new
+
+    def runs(Bv, k):
+        """Start of each run of coordinate k, with g appended."""
+        sup = np.abs(Bv).max(axis=1)
+        thresh = cfg.fusion_tol * (1.0 + np.maximum(sup[1:], sup[:-1]))
+        jumps = np.flatnonzero(np.abs(np.diff(Bv[:, k])) > thresh)
+        return np.concatenate(([0], jumps + 1, [g]))
+
+    resid = y - X @ B.ravel()
+    for _ in range(D.rows):
+        best = None
+        for k in range(p):
+            starts = runs(B, k)
+            if starts.size < 3:
+                continue
+            a0, a1 = starts[:-2], starts[2:]
+            v, cost, new = relevel(B[:, k], prefix(B[:, k], k), resid, k,
+                                   a0, a1)
+            i = int(np.argmin(cost))
+            if best is None or cost[i] < best[0]:
+                best = (cost[i], k, a0[i], a1[i], v[i], new[i])
+        if best is None:
+            break
+        _, k, a0, a1, v, new = best
+        trial = B.copy()
+        trial[a0:a1, k] = v
+        starts = runs(trial, k)
+        # re-levelling one run leaves the others' sums of X b as they were
+        cxb = prefix(trial[:, k], k)
+        for a0, a1 in zip(starts[:-1], starts[1:]):
+            v, cost, new_r = relevel(trial[:, k], cxb, new, k,
+                                     np.array([a0]), np.array([a1]))
+            if cost[0] < 0.0:
+                trial[a0:a1, k] = v[0]
+                new = new_r[0]
+        F = objective(trial.ravel())
+        if F - bound > cfg.tol_rel * max(1.0, F):
+            break
+        B, resid = trial, new
+    return D.apply(B.ravel())
+
+
 def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
             kappa: np.ndarray) -> FitResult:
     """Frisch-Newton interior point for an LP-shaped quantile fit.
@@ -557,7 +683,9 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     box has width 1.  Mehrotra's predictor-corrector runs on the slacks
     d = a - (t - 1) and s = t - a with multipliers z and w, where
     c - A b = w - z; each step solves one normal system A'QA, built in
-    closed form, for the coefficients b.
+    closed form, for the coefficients b.  A converged fit reads its
+    detected set off :func:`_fused_diffs`, with the best dual bound as the
+    certificate.
     """
     n, g, p = design.n, design.g, design.p
     X, y, tau = design.X, design.y, spec.tau
@@ -605,7 +733,7 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         # a fit of this very problem, certified to this fit's tolerance
         beta = ws.flat
         return _assemble(design, cfg, beta, [objective(beta)], state,
-                         D.apply(beta), 1)
+                         state.zd, 1)
 
     # start: a = 0 (so A'a = 0 exactly) and b the least-squares fit of
     # A b = c, with w - z = c - A b split into positive parts
@@ -687,12 +815,15 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         if it > IPM_STALL and gap > 0.5 * gaps[-1 - IPM_STALL]:
             break
 
+    converged = gap <= cfg.tol_rel
+    zd = (_fused_diffs(design, spec, cfg, kappa, best_b, best_dual, objective)
+          if converged else D.apply(best_b))
     # the equality residuals of the last iterate: A'a and c - A b - (w - z)
-    state = _LPState(problem_key=key, duality_gap=gap,
+    state = _LPState(problem_key=key, duality_gap=gap, zd=zd,
                      stop_primal=_norm(At(d - (1.0 - t))),
                      stop_dual=_norm(c - A(b) + z - w),
-                     converged=gap <= cfg.tol_rel)
-    return _assemble(design, cfg, best_b, trace, state, D.apply(best_b), it)
+                     converged=converged)
+    return _assemble(design, cfg, best_b, trace, state, zd, it)
 
 
 def fit(design: GroupedDesign, spec: ProblemSpec,

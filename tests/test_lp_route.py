@@ -9,6 +9,7 @@ import pytest
 from groupfuse import (GroupedCoefficients, GroupedDesign, ProblemSpec,
                        check_value, objective)
 from groupfuse import solver
+from groupfuse.detection import segments_from_detected
 from groupfuse.simulation import (MC_SOLVER_CONFIG, generate_instance,
                                   load_scenario_grid)
 from groupfuse.solver import (DiffOperator, SolverConfig, default_schedules,
@@ -114,13 +115,53 @@ def _desk_fused_quantile(cell, m, cfg=MC_SOLVER_CONFIG):
 # Fused quantile fits of the desk grid in which the exact LP optimum has a
 # small difference (|diff| in 2.9e-4 .. 2.9e-3) that ADMM at the Monte
 # Carlo tolerances fused; ADMM at tol_rel = 1e-10 finds each of them too.
+# At the default tolerance the LP route resolves every one of them; at the
+# Monte Carlo tolerance two (6-0-49, 5-1-25) cost less than tol_rel to fuse
+# and are reported fused (see the test after this one).
 @pytest.mark.parametrize("cell, m, pair", [
     (0, 1, 4), (1, 0, 18), (4, 1, 97), (6, 0, 49),
     (5, 0, 20), (5, 1, 25), (6, 1, 40)])
 def test_lp_route_detects_small_true_differences(cell, m, pair):
-    *_, res = _desk_fused_quantile(cell, m)
+    *_, res = _desk_fused_quantile(cell, m, SolverConfig())
     assert res.route == "ipm" and res.converged
     assert pair in res.detected_set
+
+
+@pytest.mark.parametrize("cell, m, pair", [(6, 0, 49), (5, 1, 25)])
+def test_differences_below_tol_rel_are_reported_fused(cell, m, pair):
+    # the detected set is the support of a point within tol_rel of the
+    # optimum: the LP with every unreported pair fused (its runs' columns
+    # summed) certifies it, while beta stays the exact optimum
+    _, design, fused, res = _desk_fused_quantile(cell, m)
+    exact = fit(design, fused)
+    assert pair in exact.detected_set and pair not in res.detected_set
+    assert set(res.detected_set) < set(exact.detected_set)
+    best = lp_optimum(design, fused)
+    assert (res.objective - best) / max(1.0, best) <= 1e-7
+    runs = segments_from_detected(res.detected_set, design.g)
+    merged = GroupedDesign(
+        X=np.column_stack([design.X[:, s - 1:e].sum(axis=1) for s, e in runs]),
+        y=design.y, g=len(runs), p=1)
+    fused_best = lp_optimum(merged, fused)
+    assert fused_best - best > 0.0
+    assert (fused_best - best <= MC_SOLVER_CONFIG.tol_rel * max(1.0, best)
+            + 1e-9 * max(1.0, best))
+
+
+def test_best_levels_minimize_the_weighted_check_sum():
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((40, 7))
+    w = rng.uniform(0.0, 2.0, (40, 7)) * (rng.random((40, 7)) < 0.8)
+    tau = rng.uniform(0.05, 0.95, (40, 7))
+    v = solver._best_levels(t, w, tau)
+
+    def f(rows, vals):
+        u = t[rows] - vals[:, None]
+        return (w[rows] * u * (tau[rows] - (u < 0))).sum(axis=1)
+    rows = np.arange(40)
+    # a minimum of a convex piecewise-linear sum sits at one of its kinks
+    kinks = np.min([f(rows, t[:, i]) for i in range(7)], axis=0)
+    np.testing.assert_allclose(f(rows, v), kinks, rtol=1e-12, atol=1e-12)
 
 
 def test_stall_at_the_rounding_floor_ends_converged(monkeypatch):
