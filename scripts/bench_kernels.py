@@ -22,7 +22,14 @@ Prints one JSON object:
   over iterations) and ``iters_per_fit``, for the fused quantile fits and
   the adaptive refits warm-started from them on the desk cells at the
   Monte Carlo solver settings, and for ``groupfuse fit --loss quantile
-  --q 1 --auto-lambda`` on the air dataset.
+  --q 1 --auto-lambda`` on the air dataset;
+- ``polish_us``: microseconds per attempt of the certified exact finish of
+  separable LS fits (``solver._ls_finish``: the polish of a difference
+  mirror, the residuals of the polished point and its dual bound), on the
+  mirrors the fused LS fits of the desk cells stop at (``desk.r20`` and
+  ``desk.r100``, averaged over the four cells of each size, at the Monte
+  Carlo solver settings) and of ``groupfuse fit --q 1 --auto-lambda`` on
+  the air dataset (``air_q1``, r = 48).
 
 Every figure is the best of ``--repeat`` rounds.
 """
@@ -133,6 +140,29 @@ def lp_route(designs, cfg, adaptive: bool, repeat: int) -> dict:
             "iters_per_fit": round(iters / fits, 2)}
 
 
+def polish_us(designs, cfg, repeat: int) -> float:
+    """us per polish attempt on the mirrors the fused LS fits stop at."""
+    from groupfuse import ProblemSpec
+    from groupfuse.solver import _ls_finish, default_schedules, fit
+    attempts = []
+    for design, _, _ in designs:
+        X, y = design.X, design.y
+        lam = default_schedules(design.n, "fused")[0]
+        res = fit(design, ProblemSpec(loss="ls", q=1, lam=lam), cfg)
+        kappa = design.n * lam * np.ones(design.g - 1)
+        polish, dual = _ls_finish(design, kappa, 2.0 * (X.T @ X),
+                                  2.0 * (X.T @ y))
+        zd = res.beta._warm_state.s
+
+        def attempt(polish=polish, dual=dual, zd=zd, X=X, y=y):
+            dual(y - X @ polish(zd))
+        attempts.append(attempt)
+    number = 200
+    best = min(timeit.repeat(lambda: [a() for a in attempts], number=number,
+                             repeat=repeat))
+    return best / number / len(attempts) * 1e6
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
@@ -169,6 +199,17 @@ def main() -> int:
                                      solver.SolverConfig(), False,
                                      args.repeat),
         } if hasattr(solver, "_lp_ipm") else None,
+        # None on a checkout without the certified LS finish
+        "polish_us": {
+            "desk.r20": round(polish_us([d for d in sizes[0][1]
+                                         if d[0].g == 20],
+                                        MC_SOLVER_CONFIG, args.repeat), 1),
+            "desk.r100": round(polish_us([d for d in sizes[0][1]
+                                          if d[0].g == 100],
+                                         MC_SOLVER_CONFIG, args.repeat), 1),
+            "air_q1": round(polish_us(air, solver.SolverConfig(),
+                                      args.repeat), 1),
+        } if hasattr(solver, "_ls_finish") else None,
     }
     print(json.dumps(out))
     return 0

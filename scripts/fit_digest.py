@@ -26,11 +26,11 @@ flag of an LP-route fit), and a digest over ``objective`` evaluated at each
 fit.  Equal digests mean equal bits.
 
 ``--per-fit OUT`` also writes one JSON record per fit: its index, what it
-is (``label``), its loss and shape (``ls``, ``quantile_lp`` for p = 1 or
-q = 1, ``quantile_socp`` otherwise), route, iterations, duality gap and
-digest.  ``--against OTHER`` compares the fits with such a file written
-from another checkout and adds, per shape and label, how many fits are
-equal and how many differ.
+is (``label``), its loss and shape (``ls_separable`` and ``quantile_lp``
+for p = 1 or q = 1, ``ls_q2`` and ``quantile_socp`` otherwise), route,
+iterations, duality gap and digest.  ``--against OTHER`` compares the fits
+with such a file written from another checkout and adds, per shape and
+label, how many fits are equal and how many differ.
 """
 
 import argparse
@@ -51,9 +51,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def shape(spec, p):
+    separable = p == 1 or spec.q == 1
     if spec.loss == "ls":
-        return "ls"
-    return "quantile_lp" if p == 1 or spec.q == 1 else "quantile_socp"
+        return "ls_separable" if separable else "ls_q2"
+    return "quantile_lp" if separable else "quantile_socp"
 
 
 class Digest:

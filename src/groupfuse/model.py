@@ -54,7 +54,17 @@ class GroupedCoefficients:
                 f"flat vector of length {flat.size} cannot be split into "
                 f"g={g} blocks of p={p}"
             )
-        return cls(tuple(flat[j * p:(j + 1) * p] for j in range(g)))
+        if g < 1:
+            return cls(())
+        # one read-only copy and one finiteness test for all g blocks, whose
+        # rows then need none of __post_init__'s per-block checks
+        rows = _readonly(flat).reshape(g, p)
+        if not np.isfinite(rows).all():
+            j = int(np.argmin(np.isfinite(rows).all(axis=1)))
+            raise ValueError(f"block {j} contains non-finite entries")
+        out = object.__new__(cls)
+        object.__setattr__(out, "blocks", tuple(rows))
+        return out
 
     @property
     def g(self) -> int:
@@ -202,17 +212,21 @@ class FitResult:
 
     ``detected_set`` holds the 1-based pair labels ``j`` in {2..g} for which
     block ``j`` differs from block ``j-1`` under the fusion tolerance, read
-    off the difference mirror on ADMM and, on a converged LP-route fit, off
-    a point within ``tol_rel`` of the optimum that fuses the differences
-    the tolerance cannot resolve.
+    off the difference mirror on ADMM (for a polished LS point, its own
+    differences) and, on a converged LP-route fit, off a point within
+    ``tol_rel`` of the optimum that fuses the differences the tolerance
+    cannot resolve.
     ``objective_trace`` records, per outer iteration, the objective of the
-    best (incumbent) iterate seen so far; ``beta`` is that incumbent, so the
+    best (incumbent) point seen so far; ``beta`` is that incumbent, so the
     trace is non-increasing and ends at its minimum.  ``route`` names the
     solver route, ``"ipm"`` (the interior-point LP route of quantile fits
-    with p = 1 or q = 1) or ``"admm"``.  ``duality_gap`` is the LP route's
-    certified relative gap, (objective - dual bound) / max(1, objective),
-    and None on ADMM.  ``converged`` means gap <= ``tol_rel`` on the LP
-    route, and the residual or step-stall rule on ADMM.
+    with p = 1 or q = 1) or ``"admm"``.  ``duality_gap`` is the certified
+    relative gap of ``beta``, (objective - dual bound) / max(1, objective),
+    on the LP route and on ADMM's LS fits with p = 1 or q = 1; it is None
+    on the other ADMM fits (q = 2, p > 1).  ``converged`` means
+    gap <= ``tol_rel`` on the LP route; on a separable LS fit, that gap
+    <= ``tol_rel`` or else the residual or step-stall rule; and on the
+    other ADMM fits, the residual or step-stall rule alone.
     ``primal_residual`` and ``dual_residual`` are the last iteration's
     stopping residuals on ADMM, and the equality residuals of the last
     interior-point iterate (A'a and c - A b - (w - z)) on the LP route.

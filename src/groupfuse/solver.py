@@ -13,8 +13,12 @@ on one of two routes, chosen from the problem's shape alone:
   (``_fused_diffs``); the coefficients stay the optimum.
 - **ADMM** (``_admm``): LS fits, and quantile fits with q = 2 and p > 1
   (second-order cone programs), by operator splitting on the
-  successive-difference operator D.  ``converged`` means the residual or
-  step-stall rule below was met.
+  successive-difference operator D.  An LS fit with a separable penalty
+  (p = 1 or q = 1) also tries a certified exact finish (``_ls_finish``,
+  below) and stops with ``converged`` once its relative duality gap is at
+  most ``tol_rel``; every other ADMM fit, and a separable LS fit that never
+  certifies, is ``converged`` when the residual or step-stall rule below
+  was met.
 
 One ADMM loop serves both losses.  The constraint A b = s is held as one
 stacked mirror s and one stacked scaled dual u.  For the quantile loss
@@ -44,6 +48,18 @@ they are read: when the primal test passes, at a balancing step, on a step
 stall and at the last iteration.  The dual residual a fit reports is
 therefore always its last iteration's.
 
+The certified finish of separable LS fits (OSQP's solution polishing,
+Stellato et al. 2020, with a Gap Safe certificate, Ndiaye et al. 2017):
+at every balancing step, at the residual rule's stop and at ``max_iter``,
+the exact zeros of the difference mirror are taken as fused and the signs
+of the other differences as fixed, which leaves a least-squares problem
+in the run levels that one symmetric solve minimizes.  The polished point
+becomes the incumbent if its objective is lower, and the residuals of the
+point polished (or, if the reduced system is singular, of the incumbent)
+give a dual bound.  The fit stops as soon as the incumbent's relative gap
+(objective - best dual bound) / max(1, objective) is at most ``tol_rel``,
+and reports that gap as ``duality_gap``; it is None on q = 2, p > 1 fits.
+
 The b-update system is inverted once (for the LS loss, again whenever
 balancing changes rho), after a Cholesky factorization has confirmed it is
 positive definite, and every iteration solves by one product with the
@@ -51,8 +67,10 @@ cached inverse.  The LP route factorizes its normal system A'QA the same
 way, once per iteration, after Jacobi scaling, and refines each solve.
 
 On both routes the recorded merit per iteration is the true objective of
-the incumbent (best-so-far) iterate, which is also what gets returned; a
-non-finite iterate raises :class:`SolverError` naming the iteration.
+the incumbent (best-so-far) point, which is also what gets returned; a
+non-finite iterate raises :class:`SolverError` naming the iteration.  The
+detected set is read off the returned point's difference mirror, which
+for a polished point is its own differences, exactly zero on fused pairs.
 
 The default tuning schedules live here too.
 """
@@ -106,8 +124,10 @@ class SolverConfig:
     ``max_iter`` caps the iterations of either route.  ``tol_rel`` is the
     convergence tolerance: on the LP route, the certified relative duality
     gap (the route itself iterates on to ``IPM_GAP_REL``); on ADMM, the
-    relative part of the standard primal/dual residual stopping rule.
-    ``tol_abs`` is that rule's absolute part and reaches ADMM only.
+    relative part of the standard primal/dual residual stopping rule, and
+    for separable LS fits (p = 1 or q = 1) also the certified relative gap
+    at which the exact finish stops the fit.
+    ``tol_abs`` is the residual rule's absolute part and reaches ADMM only.
     ``fusion_tol`` is the post-hoc threshold used to read the detected
     difference set off the solution.  On the LP route ``tol_rel`` also
     bounds what fusing the optimum's unresolvable differences may cost
@@ -151,7 +171,9 @@ class _WarmState:
 
     ``s`` and ``u`` are the stacked mirror and scaled dual: residual block
     first (quantile loss only), then the difference block.  ``best_zd`` is
-    the difference block the fit read its detected set from.
+    the difference block the fit read its detected set from, and
+    ``duality_gap`` the certified relative gap of a separable LS fit (None
+    on the others).
     """
 
     s: np.ndarray
@@ -162,6 +184,7 @@ class _WarmState:
     stop_primal: float
     stop_dual: float
     converged: bool
+    duality_gap: float | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +302,6 @@ def _assemble(design, cfg, beta, trace, state, zd: np.ndarray,
     object.__setattr__(beta_gc, "_warm_state", state)
     detected = detection.detect_from_diffs(
         zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
-    ipm = isinstance(state, _LPState)
     return FitResult(
         beta=beta_gc,
         detected_set=tuple(detected),
@@ -289,8 +311,8 @@ def _assemble(design, cfg, beta, trace, state, zd: np.ndarray,
         primal_residual=state.stop_primal,
         dual_residual=state.stop_dual,
         overparameterized=design.r > design.n,
-        route="ipm" if ipm else "admm",
-        duality_gap=state.duality_gap if ipm else None,
+        route="ipm" if isinstance(state, _LPState) else "admm",
+        duality_gap=state.duality_gap,
     )
 
 
@@ -382,6 +404,62 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+def _ls_finish(design: GroupedDesign, kappa: np.ndarray, XtX2: np.ndarray,
+               Xty2: np.ndarray):
+    """(polish, dual): the certified exact finish of a separable LS fit.
+
+    With p = 1 or q = 1 the penalty is sum_j kappa_j sum_k |(D b)_jk|.
+    ``polish(zd)`` treats the exact zeros of a difference mirror ``zd`` as
+    fused and keeps the signs of the other differences, which leaves
+    ||y - X b||^2 + h'b, h = D'(kappa sign(zd)), in the levels c of the runs
+    (b = E c).  Ordered coordinate-major, every run is a slice, so E'(2X'X)E
+    and E'(2X'y - h) are sums by ``np.add.reduceat``, and one solve of
+    that symmetric system gives the minimizer; None if it is singular.
+
+    ``dual(resid)`` is the Gap Safe dual value (Ndiaye et al. 2017) made
+    from the residuals y - X b of any b: a = 2 resid minus its component
+    along Z = X [I; ...; I] (so that X'a = D's), s_j the cumulative block
+    sums of X'a, and a scaled by t = min(1, min_j kappa_j / ||s_j||_inf)
+    into the dual feasible set; the value is t y'a - t^2 ||a||^2 / 4, a
+    lower bound on the optimum.
+    """
+    n, g, p = design.n, design.g, design.p
+    X, y = design.X, design.y
+    D = DiffOperator(g, p)
+    # perm[k * g + j] = j * p + k: coordinate-major positions of the columns
+    perm = np.arange(g * p).reshape(g, p).T.ravel()
+    gram, xty = XtX2[np.ix_(perm, perm)], Xty2[perm]
+    kr = np.repeat(kappa, p)
+    Z = X.reshape(n, g, p).sum(axis=1)
+    solve_z = _factorize(Z.T @ Z)
+
+    def polish(zd):
+        first = np.ones((p, g), dtype=bool)
+        first[:, 1:] = zd.reshape(g - 1, p).T != 0.0
+        starts = np.flatnonzero(first)
+        rhs = xty - D.adjoint(kr * np.sign(zd))[perm]
+        sums = np.add.reduceat(np.add.reduceat(gram, starts, axis=0),
+                               starts, axis=1)
+        try:
+            levels = np.linalg.solve(sums, np.add.reduceat(rhs, starts))
+        except np.linalg.LinAlgError:
+            return None
+        b = np.empty(g * p)
+        b[perm] = np.repeat(levels, np.diff(np.append(starts, g * p)))
+        return b
+
+    def dual(resid):
+        a = 2.0 * resid
+        a -= Z @ solve_z(Z.T @ a)
+        s = np.cumsum((a @ X).reshape(g, p), axis=0)[:-1]
+        sup = np.abs(s).max(axis=1, initial=0.0)
+        tight = sup > kappa
+        t = float((kappa[tight] / sup[tight]).min()) if tight.any() else 1.0
+        return t * float(y @ a) - t * t * float(a @ a) / 4.0
+
+    return polish, dual
+
+
 def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
           kappa: np.ndarray) -> FitResult:
     """The splitting loop for LS fits and q = 2, p > 1 quantile fits.
@@ -395,6 +473,13 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     depends only on rho (the prox thresholds) is computed when rho
     changes, and the dual residual only where the stopping test or
     balancing reads it.
+
+    An LS fit with a separable penalty tries the exact finish of
+    :func:`_ls_finish` at every balancing step, at the residual rule's stop
+    and at ``max_iter``, and stops ``converged`` once the incumbent's
+    certified relative gap is within ``tol_rel``; if it never is, the fit
+    stops on the residual rule (or at ``max_iter``) as any other ADMM fit,
+    still reporting its gap.
     """
     n, g, p = design.n, design.g, design.p
     X, y = design.X, design.y
@@ -454,6 +539,10 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
 
     beta0, zd0, s, u, rho, donor = _warm_arrays(cfg, key, design, D,
                                                 need_zr=not ls)
+    if separable:
+        polish, dual = _ls_finish(design, kappa, XtX2, Xty2)
+    # the best dual bound and the incumbent's relative gap to it
+    best_dual, gap = -np.inf, None
     if rho is None:
         rho = RHO_INIT * rho_scale
     if ls:
@@ -462,8 +551,8 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     # the incumbent: every iterate is a fresh array, so it keeps references
     best, best_beta, best_zd, trace = np.inf, None, None, []
     if zd0 is not None:
-        # never return anything worse than a vector that fit returned; D b0
-        # is never exactly fused, so its detected set is the one its fit read
+        # never return anything worse than a vector that fit returned, and
+        # return it with the detected set its fit read (zd0)
         best = merit(y - X @ beta0, D.apply(beta0))
         best_beta, best_zd = beta0, zd0
     # restarting from a converged state of the same problem: accept
@@ -528,7 +617,27 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
             dual_scale = max(rho * _norm(Xt @ u[:n]),
                              rho_d * _norm(D.adjoint(u[n:])))
         eps_dual = abs_dual + tol_rel * dual_scale
-        if (pri_ok and snorm <= max(eps_dual, dual_floor)) or stall:
+        stop = (pri_ok and snorm <= max(eps_dual, dual_floor)) or stall
+        if separable and (stop or balance or it == max_iter):
+            # the certified finish: polish the mirror's pattern, keep the
+            # polished point if it beats the incumbent, and stop once the
+            # incumbent's gap to the best dual bound is within tol_rel
+            b = polish(s)
+            if b is not None:
+                resid, db = y - X @ b, D.apply(b)
+                obj = merit(resid, db)
+                if obj < best:
+                    best, best_beta, best_zd = obj, b, db
+                    trace[-1] = best
+            else:
+                # a singular reduced system: bound from the incumbent
+                resid = y - X @ best_beta
+            best_dual = max(best_dual, dual(resid))
+            gap = (best - best_dual) / max(1.0, best)
+            if gap <= tol_rel:
+                converged = True
+                break
+        if stop:
             converged = True
             break
 
@@ -547,24 +656,27 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
 
     state = _WarmState(s=s, u=u, best_zd=best_zd, rho=rho,
                        problem_key=key, stop_primal=float(rnorm),
-                       stop_dual=float(snorm), converged=converged)
+                       stop_dual=float(snorm), converged=converged,
+                       duality_gap=gap)
     return _assemble(design, cfg, best_beta, trace, state, best_zd, it)
 
 
 def _best_levels(t: np.ndarray, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Per row, a minimizer v of sum_i w_i rho_{tau_i}(t_i - v).
+    """Along the last axis, a minimizer v of sum_i w_i rho_{tau_i}(t_i - v).
 
     That sum is convex and piecewise linear in v with kinks at the t_i; its
     slope just above the k-th smallest t is sum_{i<=k} w_i (1 - tau_i) -
     sum_{i>k} w_i tau_i, and the first kink where it turns nonnegative is a
     minimizer (a weighted quantile).
     """
-    rows = np.arange(t.shape[0])[:, None]
-    order = np.argsort(t, axis=1, kind="stable")
-    t, w, tau = t[rows, order], w[rows, order], tau[rows, order]
-    up = np.cumsum(w * (1.0 - tau), axis=1)
-    down = (w * tau).sum(axis=1, keepdims=True) - np.cumsum(w * tau, axis=1)
-    return t[rows[:, 0], np.argmax(up >= down, axis=1)]
+    order = np.argsort(t, axis=-1, kind="stable")
+    # 2-D arrays are gathered row by row, 1-D ones directly
+    rows = (np.arange(t.shape[0])[:, None],) if t.ndim == 2 else ()
+    t, w, tau = (a[rows + (order,)] for a in (t, w, tau))
+    up = np.cumsum(w * (1.0 - tau), axis=-1)
+    down = (w * tau).sum(axis=-1, keepdims=True) - np.cumsum(w * tau, axis=-1)
+    first = np.argmax(up >= down, axis=-1)
+    return t[tuple(r[:, 0] for r in rows) + (first,)]
 
 
 def _fused_diffs(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
@@ -630,6 +742,39 @@ def _fused_diffs(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
                 - (pen[hi] - pen[lo]))
         return v, cost, new
 
+    # buffers of the one-run pass: the ratios and the two neighbours' levels,
+    # their weights and their check levels, and the penalty's prefix sums
+    t1, w1, tt1 = np.empty(n + 2), np.empty(n + 2), np.full(n + 2, 0.5)
+    pen1 = np.zeros(g)
+
+    def penalty_sums(bk):
+        """Prefix sums over groups of one coordinate's penalty terms."""
+        np.cumsum(kappa * np.abs(bk[1:] - bk[:-1]), out=pen1[1:])
+        return pen1
+
+    def relevel_run(bk, cxb, resid, k, a0, a1, pen, base):
+        """:func:`relevel` of one run in 1-D arithmetic, in the same order.
+
+        ``pen`` is :func:`penalty_sums` of ``bk`` and ``base`` the check
+        sum of ``resid``; returns (v, cost, residuals, their check sum).
+        """
+        x = CX[:, a1, k] - CX[:, a0, k]
+        rb = resid + (cxb[:, a1] - cxb[:, a0])
+        t1[:n] = 0.0
+        np.divide(rb, x, out=t1[:n], where=x != 0.0)
+        lo, hi = max(a0 - 1, 0), min(a1, g - 1)
+        left, right = float(bk[lo]), float(bk[hi])
+        t1[n], t1[n + 1] = left, right
+        np.abs(x, out=w1[:n])
+        w1[n], w1[n + 1] = 2.0 * pad_k[a0], 2.0 * pad_k[a1]
+        tt1[:n] = np.where(x > 0.0, tau, 1.0 - tau)
+        v = float(_best_levels(t1, w1, tt1))
+        new = rb - x * v
+        loss = float((new * (tau - (new < 0))).sum())
+        cost = (loss - base + float(pad_k[a0]) * abs(v - left)
+                + float(pad_k[a1]) * abs(right - v) - float(pen[hi] - pen[lo]))
+        return v, cost, new, loss
+
     def runs(Bv, k):
         """Start of each run of coordinate k, with g appended."""
         sup = np.abs(Bv).max(axis=1)
@@ -658,12 +803,15 @@ def _fused_diffs(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         starts = runs(trial, k)
         # re-levelling one run leaves the others' sums of X b as they were
         cxb = prefix(trial[:, k], k)
-        for a0, a1 in zip(starts[:-1], starts[1:]):
-            v, cost, new_r = relevel(trial[:, k], cxb, new, k,
-                                     np.array([a0]), np.array([a1]))
-            if cost[0] < 0.0:
-                trial[a0:a1, k] = v[0]
-                new = new_r[0]
+        pen = penalty_sums(trial[:, k])
+        base = float((new * (tau - (new < 0))).sum())
+        for a0, a1 in zip(starts[:-1].tolist(), starts[1:].tolist()):
+            v, cost, new_r, loss = relevel_run(trial[:, k], cxb, new, k, a0,
+                                               a1, pen, base)
+            if cost < 0.0:
+                trial[a0:a1, k] = v
+                new, base = new_r, loss
+                pen = penalty_sums(trial[:, k])
         F = objective(trial.ravel())
         if F - bound > cfg.tol_rel * max(1.0, F):
             break
@@ -832,7 +980,8 @@ def fit(design: GroupedDesign, spec: ProblemSpec,
 
     Quantile fits with p = 1 or q = 1 take the LP route, every other fit
     ADMM (see the module docstring); ``FitResult.route`` says which, and
-    ``FitResult.duality_gap`` holds the LP route's certified relative gap.
+    ``FitResult.duality_gap`` holds the certified relative gap of the LP
+    route and of ADMM's LS fits with p = 1 or q = 1.
     Non-convergence within ``max_iter`` is reported via ``converged=False``,
     not raised; a non-finite iterate raises :class:`SolverError` naming the
     iteration.

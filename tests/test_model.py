@@ -140,6 +140,30 @@ def test_grouped_coefficients_validation():
         GroupedCoefficients.from_flat(np.zeros(5), g=2, p=2)
 
 
+@pytest.mark.parametrize("g, p", [(1, 1), (1, 3), (4, 1), (5, 2), (100, 3)])
+def test_from_flat_equals_the_blockwise_constructor(g, p):
+    flat = np.random.default_rng(g * 10 + p).standard_normal(g * p)
+    got = GroupedCoefficients.from_flat(flat, g, p)
+    ref = GroupedCoefficients(tuple(flat[j * p:(j + 1) * p]
+                                    for j in range(g)))
+    assert (got.g, got.p) == (ref.g, ref.p)
+    for a, b in zip(got.blocks, ref.blocks):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    # the blocks own no view of the caller's vector
+    flat[:] = 0.0
+    assert got.flat.tobytes() == ref.flat.tobytes()
+    for j in (0, g - 1):
+        bad = flat.copy()
+        bad[j * p + p - 1] = np.nan
+        with pytest.raises(ValueError,
+                           match=f"^block {j} contains non-finite entries$"):
+            GroupedCoefficients.from_flat(bad, g, p)
+    with pytest.raises(ValueError, match="at least one"):
+        GroupedCoefficients.from_flat([], 0, p)
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError, match="tau"):
         ProblemSpec(loss="quantile", tau=1.2)
