@@ -10,20 +10,26 @@ one BLAS thread:
   the Monte Carlo solver settings on the desk-grid cells (m = 0, 1), eight
   p = 2, g = 20 cells (q = 1 and 2) and, unless ``--quick``, the four
   p = 3, g = 100 Gaussian cells of the full grid (m = 0);
-- on every cell with p < 3, restarts from the returned state: the same
-  problem, twice the lambda, the other loss, a plain coefficient vector,
-  and a stop at max_iter = 3;
+- on every cell with p < 3, restarts from the returned state, one label
+  each: ``same_problem`` (the refit warm-started from itself),
+  ``double_lambda`` (the fused fit at twice the lambda, from the pilot),
+  ``from_ls`` / ``from_quantile`` (the fused fit of the other loss, from
+  the pilot), ``plain`` (from a plain copy of the pilot's coefficients)
+  and ``max_iter`` (a cold stop at max_iter = 3);
 - the same on one desk cell at the default solver settings and on 60 tiny
   instances (g * p <= 4, q = 1 and 2, several tau);
 - all-zero designs at g = 1, 3, 5 (p = 1) and g = 2 (p = 2), both losses,
-  q = 1 and 2, with and without max_iter = 3.
+  q = 1 and 2, with and without max_iter = 3 (``zero_design`` and
+  ``zero_design_max_iter``).
 
 Prints one JSON object: the fit and iteration counts, the fits per solver
-route, a digest over each fit's coefficients, objective trace, iteration
-count, residuals, converged flag, detected set and returned restart state
-(the splitting state of an ADMM fit; the problem, duality gap and converged
-flag of an LP-route fit), and a digest over ``objective`` evaluated at each
-fit.  Equal digests mean equal bits.
+route, a digest over each fit's FitResult fields (coefficients, objective
+trace, iteration count, residuals, converged flag, detected set, route and
+duality gap) and returned restart state (the splitting state ``s`` and
+``u`` of an ADMM fit, and the differences its detected set was read off),
+and a digest over ``objective`` evaluated at each fit.  Equal digests mean
+equal bits.  Only what every checkout since the LP route returns is hashed,
+so two checkouts' digests compare even where their restart states differ.
 
 ``--per-fit OUT`` also writes one JSON record per fit: its index, what it
 is (``label``), its loss and shape (``ls_separable`` and ``quantile_lp``
@@ -87,26 +93,21 @@ class Digest:
         self._array(np.array(res.objective_trace))
         self._update(repr((res.iterations, res.converged,
                            res.primal_residual, res.dual_residual,
-                           res.detected_set,
-                           res.overparameterized)).encode())
+                           res.detected_set, res.overparameterized,
+                           res.route, res.duality_gap)).encode())
         st = res.beta._warm_state
-        # checkouts without the LP route return ADMM fits only
-        route = getattr(res, "route", "admm")
-        if route == "admm":
-            for a in (st.s, st.u):
-                self._array(a)
-            self._update(repr((st.rho, st.problem_key, st.stop_primal,
-                               st.stop_dual, st.converged)).encode())
-        else:
-            self._update(repr((st.problem_key, st.duality_gap,
-                               st.converged)).encode())
+        # an LP-route state has no splitting state; older checkouts name
+        # the differences of an ADMM state best_zd
+        for a in (getattr(st, "s", None), getattr(st, "u", None),
+                  getattr(st, "zd", getattr(st, "best_zd", None))):
+            self._array(a)
         self.objectives.update(
             repr(self.gf.objective(design, spec, res.beta)).encode())
         self.records.append({
             "i": self.count - 1, "label": label, "loss": spec.loss,
-            "shape": shape(spec, design.p), "route": route,
+            "shape": shape(spec, design.p), "route": res.route,
             "iterations": res.iterations,
-            "duality_gap": getattr(res, "duality_gap", None),
+            "duality_gap": res.duality_gap,
             "sha256": self._one.hexdigest()})
         return res
 

@@ -26,6 +26,16 @@ class DetectionReport:
     mad: float
 
 
+def fusion_thresholds(blocks: np.ndarray, fusion_tol: float) -> np.ndarray:
+    """Per pair of the (g, p) ``blocks``, the size a difference must exceed.
+
+    The rule is relative-absolute: ``fusion_tol * (1 + max(sup-norm of the
+    two blocks))``.
+    """
+    sup = np.abs(blocks).max(axis=1)
+    return fusion_tol * (1.0 + np.maximum(sup[1:], sup[:-1]))
+
+
 def detect_from_diffs(diffs: np.ndarray, blocks: np.ndarray,
                       fusion_tol: float = DEFAULT_FUSION_TOL) -> list[int]:
     """Detected pair labels given explicit difference blocks.
@@ -33,8 +43,7 @@ def detect_from_diffs(diffs: np.ndarray, blocks: np.ndarray,
     ``diffs`` is (g-1, p) and ``blocks`` (g, p); row ``i`` of ``diffs``
     compares groups ``i`` and ``i+1`` (0-based) and carries the 1-based pair
     label ``i + 2``.  A pair is different when the sup-norm of its difference
-    exceeds ``fusion_tol * (1 + max(sup-norm of the two blocks))``, a
-    relative-absolute hybrid rule.
+    exceeds its :func:`fusion_thresholds`.
     """
     if fusion_tol < 0:
         raise ValueError("fusion_tol must be nonnegative")
@@ -42,9 +51,7 @@ def detect_from_diffs(diffs: np.ndarray, blocks: np.ndarray,
     blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
     if diffs.shape[0] == 0:
         return []
-    sup = np.abs(blocks).max(axis=1)
-    thresh = fusion_tol * (1.0 + np.maximum(sup[1:], sup[:-1]))
-    hits = np.abs(diffs).max(axis=1) > thresh
+    hits = np.abs(diffs).max(axis=1) > fusion_thresholds(blocks, fusion_tol)
     return [int(i) + 2 for i in np.nonzero(hits)[0]]
 
 

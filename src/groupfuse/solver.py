@@ -72,6 +72,16 @@ non-finite iterate raises :class:`SolverError` naming the iteration.  The
 detected set is read off the returned point's difference mirror, which
 for a polished point is its own differences, exactly zero on fused pairs.
 
+Warm starts follow one rule, checked in :func:`fit` before the route is
+chosen: a start returned by a fit of this very problem (the same design
+object, loss, tau, q and pair weights) whose certified relative gap is
+within this fit's ``tol_rel`` is returned at once, after one iteration,
+with its own detected set and ``converged``.  Every other start is only a
+starting point: ADMM restarts from the splitting state of a fit of the
+same loss and never returns anything worse than that fit's point; any
+other vector starts ADMM's mirror at A b with a zero dual, and the LP
+route starts cold.
+
 The default tuning schedules live here too.
 """
 
@@ -133,16 +143,12 @@ class SolverConfig:
     bounds what fusing the optimum's unresolvable differences may cost
     (see ``_fused_diffs``).
 
-    ``warm_start`` accepts any coefficient vector.  On ADMM, vectors
-    returned by an ADMM fit carry the full splitting state, restart at the
-    fixed point, and the restart never returns anything worse than them (a
-    returned start keeps the detected set its fit reported).  A plain
-    vector, or one from the LP route, is only a starting point.  Only a
-    restart on the same design (the same ``GroupedDesign`` object) with the
-    same loss, tau, q and pair weights also resumes the returned rate and
-    accepts the residual levels that fit stopped at.  The LP route starts
-    cold, except that a vector it returned for the same problem, with a gap
-    within ``tol_rel``, is returned at once (one iteration).
+    ``warm_start`` accepts any coefficient vector.  One returned by a fit
+    of this very problem with a certified gap within ``tol_rel`` is
+    returned at once (one iteration, its fit's detected set).  Any other
+    is a starting point: on ADMM, a vector returned by an ADMM fit of the
+    same loss restarts from that fit's splitting state, and the restart
+    never returns anything worse than it; the LP route starts cold.
 
     The augmented-Lagrangian rate starts at ``RHO_INIT``; every
     ``ADAPT_EVERY`` iterations residual balancing may halve or double it
@@ -166,42 +172,24 @@ class SolverConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class _WarmState:
-    """Full splitting state attached to solver output for exact restarts.
+class _FitState:
+    """What a fit attaches to the coefficients it returns, for restarts.
 
-    ``s`` and ``u`` are the stacked mirror and scaled dual: residual block
-    first (quantile loss only), then the difference block.  ``best_zd`` is
-    the difference block the fit read its detected set from, and
-    ``duality_gap`` the certified relative gap of a separable LS fit (None
-    on the others).
+    ``s`` and ``u`` are ADMM's stacked mirror and scaled dual (residual
+    block first, quantile loss only, then the difference block); both are
+    None on the LP route.  ``zd`` holds the differences the fit read its
+    detected set off, ``duality_gap`` its certified relative gap (None on
+    q = 2, p > 1 fits), and ``stop_primal`` and ``stop_dual`` the residuals
+    it reported.
     """
 
-    s: np.ndarray
-    u: np.ndarray
-    best_zd: np.ndarray
-    rho: float
-    problem_key: tuple
-    stop_primal: float
-    stop_dual: float
-    converged: bool
-    duality_gap: float | None
-
-
-@dataclass(frozen=True, eq=False)
-class _LPState:
-    """What a restart needs of a fit on the LP route.
-
-    ``stop_primal`` and ``stop_dual`` are the last iterate's equality
-    residuals, ``duality_gap`` the certified relative gap of the returned
-    coefficients, and ``zd`` the differences its detected set was read off.
-    """
-
-    problem_key: tuple
-    duality_gap: float
+    s: np.ndarray | None
+    u: np.ndarray | None
     zd: np.ndarray
+    problem_key: tuple
+    duality_gap: float | None
     stop_primal: float
     stop_dual: float
-    converged: bool
 
 
 class DiffOperator:
@@ -294,63 +282,61 @@ def _clip_prox(v: np.ndarray, c, lo, hi) -> np.ndarray:
     return v + np.minimum(np.maximum(c - v, lo), hi)
 
 
-def _assemble(design, cfg, beta, trace, state, zd: np.ndarray,
+def _merit(spec: ProblemSpec, kappa: np.ndarray, resid: np.ndarray,
+           db: np.ndarray, p: int) -> float:
+    """The objective at residuals y - X b and differences ``db`` = D b."""
+    pen = float(kappa @ penalties.block_norms(db.reshape(kappa.size, p),
+                                              spec.q))
+    if spec.loss == "ls":
+        return float(resid @ resid) + pen
+    return float((resid * (spec.tau - (resid < 0))).sum()) + pen
+
+
+def _assemble(design, cfg, beta, trace, state: _FitState, converged: bool,
               iterations: int) -> FitResult:
-    """The FitResult of ``beta``; its detected set is read off ``zd``."""
+    """The FitResult of ``beta``; its detected set is read off ``state.zd``."""
     g, p = design.g, design.p
     beta_gc = GroupedCoefficients.from_flat(beta, g, p)
     object.__setattr__(beta_gc, "_warm_state", state)
     detected = detection.detect_from_diffs(
-        zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
+        state.zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
     return FitResult(
         beta=beta_gc,
         detected_set=tuple(detected),
         objective_trace=tuple(trace),
-        converged=state.converged,
+        converged=converged,
         iterations=iterations,
         primal_residual=state.stop_primal,
         dual_residual=state.stop_dual,
         overparameterized=design.r > design.n,
-        route="ipm" if isinstance(state, _LPState) else "admm",
+        route="ipm" if state.s is None else "admm",
         duality_gap=state.duality_gap,
     )
 
 
-def _warm_arrays(cfg, key, design: GroupedDesign, D: DiffOperator,
-                 need_zr: bool):
-    """Initial (beta0, zd0, s, u, rho, donor) from the warm-start field.
+def _warm_arrays(cfg, design: GroupedDesign, D: DiffOperator, need_zr: bool):
+    """ADMM's initial (beta0, zd0, s, u) from the warm-start field.
 
-    A full state of matching shape restarts the splitting where it stopped
-    (an LS fit takes the difference block of any state); otherwise the
-    mirror starts at A b for the warm coefficients b (or at zero) with a
-    zero dual.  The residual block exists only if ``need_zr``.  ``zd0`` is
-    the difference block the warm start's own fit read its detected set
-    from, None for a plain vector, which carries no state.  ``rho`` is
-    None unless the state is of this very problem; ``donor`` is that state
-    when it was converged, enabling restart acceptance at the residual
-    levels already accepted once.
+    The splitting state of an ADMM fit of the same loss (a mirror of this
+    fit's size; the residual block exists only if ``need_zr``) restarts
+    where that fit stopped, and ``zd0`` is the difference block it read its
+    detected set from.  Anything else is a plain start: the mirror at A b
+    for the warm coefficients b (or at zero), a zero dual and ``zd0`` None.
     """
     m = D.rows + (design.n if need_zr else 0)
     ws = cfg.warm_start
     beta0 = None if ws is None else ws.flat
     state = getattr(ws, "_warm_state", None)
-    if not isinstance(state, _WarmState):
-        state = None  # a plain vector, or one from the LP route
-    zd0 = None if state is None else state.best_zd
-    if state is not None and (not need_zr or state.s.size == m):
-        same_problem = state.problem_key == key
-        rho = min(max(state.rho, RHO_MIN), RHO_MAX) if same_problem else None
-        donor = state if same_problem and state.converged else None
+    if state is not None and state.s is not None and state.s.size == m:
         # iterates are never written in place, so the state is shared
-        k = state.s.size - m
-        return beta0, zd0, state.s[k:], state.u[k:], rho, donor
+        return beta0, state.zd, state.s, state.u
     if beta0 is None:
         s = np.zeros(m)
     elif need_zr:
         s = np.concatenate((design.X @ beta0, D.apply(beta0)))
     else:
         s = D.apply(beta0)
-    return beta0, zd0, s, np.zeros(m), None, None
+    return beta0, None, s, np.zeros(m)
 
 
 def _jacobi(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,7 +447,7 @@ def _ls_finish(design: GroupedDesign, kappa: np.ndarray, XtX2: np.ndarray,
 
 
 def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
-          kappa: np.ndarray) -> FitResult:
+          kappa: np.ndarray, key: tuple) -> FitResult:
     """The splitting loop for LS fits and q = 2, p > 1 quantile fits.
 
     The constraint A b = s stacks the residual block X b (quantile loss
@@ -480,6 +466,11 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     certified relative gap is within ``tol_rel``; if it never is, the fit
     stops on the residual rule (or at ``max_iter``) as any other ADMM fit,
     still reporting its gap.
+
+    A warm start that :func:`fit` did not return at once is a starting
+    point: the splitting state of an ADMM fit of the same loss restarts
+    where that fit stopped, at the starting rate and with that fit's point
+    as the incumbent; any other vector b starts the mirror at A b.
     """
     n, g, p = design.n, design.g, design.p
     X, y = design.X, design.y
@@ -488,13 +479,10 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     md = D.rows
     ls = spec.loss == "ls"
     tau, q = spec.tau, spec.q
-    if (kappa < 0).any():
-        raise ValueError("kappa must be nonnegative")
     # an LS fit soft-thresholds a separable penalty by one clip (separable
     # quantile fits take the LP route)
     separable = ls and (p == 1 or q == 1)
     max_iter, tol_rel = cfg.max_iter, cfg.tol_rel
-    key = _problem_key(design, spec, kappa)
     gram_d = D.gram()
     kappa_med = float(np.median(kappa)) if md else 0.0
     off = 0 if ls else n  # where the difference block starts in s and u
@@ -531,20 +519,12 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         lo, hi = _clip_bounds(1.0 / rho, tau, clipped, off, p)
         return lo, hi, kappa_rho
 
-    def merit(resid, Db):
-        pen = float(kappa @ penalties.block_norms(Db.reshape(g - 1, p), q))
-        if ls:
-            return float(resid @ resid) + pen
-        return float((resid * (tau - (resid < 0))).sum()) + pen
-
-    beta0, zd0, s, u, rho, donor = _warm_arrays(cfg, key, design, D,
-                                                need_zr=not ls)
+    beta0, zd0, s, u = _warm_arrays(cfg, design, D, need_zr=not ls)
     if separable:
         polish, dual = _ls_finish(design, kappa, XtX2, Xty2)
     # the best dual bound and the incumbent's relative gap to it
     best_dual, gap = -np.inf, None
-    if rho is None:
-        rho = RHO_INIT * rho_scale
+    rho = RHO_INIT * rho_scale
     if ls:
         solve = _factorize(XtX2 + rho * gram_d)
     lo, hi, kappa_rho = thresholds(rho)
@@ -553,12 +533,8 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     if zd0 is not None:
         # never return anything worse than a vector that fit returned, and
         # return it with the detected set its fit read (zd0)
-        best = merit(y - X @ beta0, D.apply(beta0))
+        best = _merit(spec, kappa, y - X @ beta0, D.apply(beta0), p)
         best_beta, best_zd = beta0, zd0
-    # restarting from a converged state of the same problem: accept
-    # residual levels comparable to the ones already accepted at that state
-    pri_floor = 2.0 * donor.stop_primal if donor is not None else 0.0
-    dual_floor = 2.0 * donor.stop_dual if donor is not None else 0.0
     alpha = OVER_RELAX
     keep = 1.0 - alpha
     Ab = np.empty(off + md)  # [X b; D b], rewritten in every iteration
@@ -575,7 +551,7 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
             beta = solve(Xt @ w[:n] + c_ratio * D.adjoint(w[n:]))
             resid = y - np.matmul(X, beta, out=Xb)
         D.apply(beta, out=Db)
-        obj = merit(resid, Db)
+        obj = _merit(spec, kappa, resid, Db, p)
         if not math.isfinite(obj):
             raise SolverError(f"non-finite iterate at iteration {it}")
         v = alpha * Ab + keep * s + u
@@ -601,7 +577,7 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         step_scale = pri_scale if ls else z_scale
         eps_pri = abs_pri + tol_rel * pri_scale
         step_tol = abs_pri + step_rel * max(step_scale, 1e-12)
-        pri_ok = rnorm <= max(eps_pri, pri_floor)
+        pri_ok = rnorm <= eps_pri
         stall = rnorm <= step_tol and step <= step_tol
         balance = it % ADAPT_EVERY == 0
         if not (pri_ok or stall or balance or it == max_iter):
@@ -617,7 +593,7 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
             dual_scale = max(rho * _norm(Xt @ u[:n]),
                              rho_d * _norm(D.adjoint(u[n:])))
         eps_dual = abs_dual + tol_rel * dual_scale
-        stop = (pri_ok and snorm <= max(eps_dual, dual_floor)) or stall
+        stop = (pri_ok and snorm <= eps_dual) or stall
         if separable and (stop or balance or it == max_iter):
             # the certified finish: polish the mirror's pattern, keep the
             # polished point if it beats the incumbent, and stop once the
@@ -625,7 +601,7 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
             b = polish(s)
             if b is not None:
                 resid, db = y - X @ b, D.apply(b)
-                obj = merit(resid, db)
+                obj = _merit(spec, kappa, resid, db, p)
                 if obj < best:
                     best, best_beta, best_zd = obj, b, db
                     trace[-1] = best
@@ -654,11 +630,10 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
                 rho = new_rho
                 lo, hi, kappa_rho = thresholds(rho)
 
-    state = _WarmState(s=s, u=u, best_zd=best_zd, rho=rho,
-                       problem_key=key, stop_primal=float(rnorm),
-                       stop_dual=float(snorm), converged=converged,
-                       duality_gap=gap)
-    return _assemble(design, cfg, best_beta, trace, state, best_zd, it)
+    state = _FitState(s=s, u=u, zd=best_zd, problem_key=key,
+                      duality_gap=gap, stop_primal=float(rnorm),
+                      stop_dual=float(snorm))
+    return _assemble(design, cfg, best_beta, trace, state, converged, it)
 
 
 def _best_levels(t: np.ndarray, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -777,8 +752,7 @@ def _fused_diffs(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
 
     def runs(Bv, k):
         """Start of each run of coordinate k, with g appended."""
-        sup = np.abs(Bv).max(axis=1)
-        thresh = cfg.fusion_tol * (1.0 + np.maximum(sup[1:], sup[:-1]))
+        thresh = detection.fusion_thresholds(Bv, cfg.fusion_tol)
         jumps = np.flatnonzero(np.abs(np.diff(Bv[:, k])) > thresh)
         return np.concatenate(([0], jumps + 1, [g]))
 
@@ -820,7 +794,7 @@ def _fused_diffs(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
 
 
 def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
-            kappa: np.ndarray) -> FitResult:
+            kappa: np.ndarray, key: tuple) -> FitResult:
     """Frisch-Newton interior point for an LP-shaped quantile fit.
 
     With p = 1 or q = 1 the objective is a weighted L1 regression on the
@@ -834,14 +808,14 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     closed form, for the coefficients b.  A converged fit reads its
     detected set off :func:`_fused_diffs`, with the best dual bound as the
     certificate.
+
+    The route starts cold: :func:`fit` returns a certified start of this
+    very problem before the route runs, and every other start is ignored.
     """
     n, g, p = design.n, design.g, design.p
     X, y, tau = design.X, design.y, spec.tau
     Xt = np.ascontiguousarray(X.T)
     D = DiffOperator(g, p)
-    if (kappa < 0).any():
-        raise ValueError("kappa must be nonnegative")
-    key = _problem_key(design, spec, kappa)
     kr = np.repeat(kappa, p)
     keep = np.flatnonzero(kr > 0)
     kk = 2.0 * kr[keep]
@@ -850,10 +824,7 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     c = np.concatenate((y, np.zeros(keep.size)))
 
     def objective(b):
-        resid = y - X @ b
-        pen = float(kappa @ penalties.block_norms(
-            D.apply(b).reshape(g - 1, p), spec.q))
-        return float((resid * (tau - (resid < 0))).sum()) + pen
+        return _merit(spec, kappa, y - X @ b, D.apply(b), p)
 
     def A(b):
         return np.concatenate((X @ b, kk * D.apply(b)[keep]))
@@ -873,15 +844,6 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
             raise SolverError(f"non-finite iterate at iteration {it} "
                               "(normal matrix)")
         return M
-
-    ws = cfg.warm_start
-    state = getattr(ws, "_warm_state", None)
-    if (isinstance(state, _LPState) and state.problem_key == key
-            and state.duality_gap <= cfg.tol_rel):
-        # a fit of this very problem, certified to this fit's tolerance
-        beta = ws.flat
-        return _assemble(design, cfg, beta, [objective(beta)], state,
-                         state.zd, 1)
 
     # start: a = 0 (so A'a = 0 exactly) and b the least-squares fit of
     # A b = c, with w - z = c - A b split into positive parts
@@ -967,11 +929,10 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     zd = (_fused_diffs(design, spec, cfg, kappa, best_b, best_dual, objective)
           if converged else D.apply(best_b))
     # the equality residuals of the last iterate: A'a and c - A b - (w - z)
-    state = _LPState(problem_key=key, duality_gap=gap, zd=zd,
-                     stop_primal=_norm(At(d - (1.0 - t))),
-                     stop_dual=_norm(c - A(b) + z - w),
-                     converged=converged)
-    return _assemble(design, cfg, best_b, trace, state, zd, it)
+    state = _FitState(s=None, u=None, zd=zd, problem_key=key,
+                      duality_gap=gap, stop_primal=_norm(At(d - (1.0 - t))),
+                      stop_dual=_norm(c - A(b) + z - w))
+    return _assemble(design, cfg, best_b, trace, state, converged, it)
 
 
 def fit(design: GroupedDesign, spec: ProblemSpec,
@@ -994,17 +955,29 @@ def fit(design: GroupedDesign, spec: ProblemSpec,
             f"pilot shape ({spec.pilot.g}, {spec.pilot.p}) does not match "
             f"design ({g}, {p})"
         )
-    if cfg.warm_start is not None and (cfg.warm_start.g != g
-                                       or cfg.warm_start.p != p):
+    ws = cfg.warm_start
+    if ws is not None and (ws.g != g or ws.p != p):
         raise DimensionMismatchError(
-            f"warm start shape ({cfg.warm_start.g}, {cfg.warm_start.p}) "
-            f"does not match design ({g}, {p})"
+            f"warm start shape ({ws.g}, {ws.p}) does not match design "
+            f"({g}, {p})"
         )
     weights = spec.pair_weights(design.n, g)
     kappa = design.n * spec.lam * weights
+    if (kappa < 0).any():
+        raise ValueError("kappa must be nonnegative")
+    key = _problem_key(design, spec, kappa)
+    state = getattr(ws, "_warm_state", None)
+    if (state is not None and state.problem_key == key
+            and state.duality_gap is not None
+            and state.duality_gap <= cfg.tol_rel):
+        # a fit of this very problem, certified to this fit's tolerance
+        beta = ws.flat
+        obj = _merit(spec, kappa, design.y - design.X @ beta,
+                     DiffOperator(g, p).apply(beta), p)
+        return _assemble(design, cfg, beta, [obj], state, True, 1)
     if spec.loss == "quantile" and (p == 1 or spec.q == 1):
-        return _lp_ipm(design, spec, cfg, kappa)
-    return _admm(design, spec, cfg, kappa)
+        return _lp_ipm(design, spec, cfg, kappa, key)
+    return _admm(design, spec, cfg, kappa, key)
 
 
 # ---------------------------------------------------------------------------

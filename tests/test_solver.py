@@ -124,28 +124,33 @@ def test_warm_start_from_solution_is_instant(spec):
 
 
 @pytest.mark.parametrize("loss", ["ls", "quantile"])
-def test_warm_state_resumes_rate_only_on_the_same_design(loss):
+def test_warm_state_is_reused_only_by_a_fit_of_the_same_loss(loss):
     rng = np.random.default_rng(22)
     X = rng.standard_normal((12, 4))
     # a quantile fit at p = 1 is a linear program and takes the interior
-    # point route, which keeps no splitting state: run it at p = 2, q = 2
-    g, p = (4, 1) if loss == "ls" else (2, 2)
-    design = GroupedDesign(X=X, y=rng.standard_normal(12), g=g, p=p)
-    other = GroupedDesign(X=X, y=rng.standard_normal(12), g=g, p=p)
-    spec = ProblemSpec(loss=loss, q=2, lam=0.2)
-    first = fit(design, spec)
+    # point route, which keeps no splitting state: run both losses at
+    # p = 2, q = 2, where both take ADMM
+    design = GroupedDesign(X=X, y=rng.standard_normal(12), g=2, p=2)
+    other = GroupedDesign(X=X, y=rng.standard_normal(12), g=2, p=2)
+    first = fit(design, ProblemSpec(loss=loss, q=2, lam=0.2))
     assert first.converged
+    state = first.beta._warm_state
     cfg = SolverConfig(warm_start=first.beta)
-    kappa = design.n * spec.lam * spec.pair_weights(design.n, design.g)
-    D = DiffOperator(design.g, design.p)
-    for target, same in ((design, True), (other, False)):
-        key = solver._problem_key(target, spec, kappa)
-        *_, rho, donor = solver._warm_arrays(cfg, key, target, D,
-                                             need_zr=loss == "quantile")
-        # the splitting state is reused either way; the rate and the
-        # restart acceptance belong to the data the state was made on
-        assert (rho is not None) is same
-        assert (donor is not None) is same
+    D = DiffOperator(2, 2)
+    # another design of the same loss restarts from the splitting state
+    # and keeps the fit's point, with its differences, as the incumbent
+    beta0, zd0, s, u = solver._warm_arrays(cfg, other, D,
+                                           need_zr=loss == "quantile")
+    np.testing.assert_array_equal(beta0, first.beta.flat)
+    assert zd0 is state.zd and s is state.s and u is state.u
+    # a fit of the other loss takes the vector as a plain start
+    need_zr = loss == "ls"
+    beta0, zd0, s, u = solver._warm_arrays(cfg, other, D, need_zr=need_zr)
+    assert zd0 is None
+    Db = D.apply(first.beta.flat)
+    np.testing.assert_array_equal(
+        s, np.concatenate((X @ first.beta.flat, Db)) if need_zr else Db)
+    assert s.size == u.size and not u.any()
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -162,6 +167,42 @@ def test_warm_start_across_losses(q):
         warm = fit(design, spec, SolverConfig(warm_start=donor.beta))
         assert warm.converged
         assert warm.objective == pytest.approx(cold.objective, abs=1e-5)
+
+
+def test_restart_below_the_starts_gap_is_not_returned_at_once():
+    # a certified start of this very problem is returned at once only if
+    # its gap is within this fit's tol_rel; at a tighter tol_rel the fit
+    # runs (the LP route from a cold start, ADMM from the state)
+    rng = np.random.default_rng(11)
+    design = GroupedDesign(X=rng.standard_normal((20, 5)),
+                           y=rng.standard_normal(20), g=5, p=1)
+    for spec in (ProblemSpec(loss="quantile", q=1, lam=0.1),
+                 ProblemSpec(loss="ls", q=1, lam=0.1)):
+        first = fit(design, spec)
+        assert first.converged and first.duality_gap > 0.0
+        again = fit(design, spec, SolverConfig(
+            warm_start=first.beta, tol_rel=first.duality_gap / 2))
+        assert again.route == first.route
+        assert again.iterations > 1
+        assert again.objective <= first.objective + 1e-12
+
+
+def test_single_group_adaptive_refit_restarts_from_its_pilot():
+    # at g = 1 there are no pairs, so the adaptive refit is the pilot's own
+    # problem; a q = 2, p > 1 quantile fit reports no certified gap, so the
+    # refit is not returned at once but restarts from the pilot's state
+    rng = np.random.default_rng(1)
+    design = GroupedDesign(X=rng.standard_normal((10, 2)),
+                           y=rng.standard_normal(10), g=1, p=2)
+    pilot = fit(design, ProblemSpec(loss="quantile", tau=0.3, q=2, lam=0.1))
+    assert pilot.converged and pilot.duality_gap is None
+    adaptive = ProblemSpec(loss="quantile", tau=0.3, q=2, lam=0.5,
+                           weight_mode="adaptive", gamma=1.0,
+                           pilot=pilot.beta)
+    refit = fit(design, adaptive, SolverConfig(warm_start=pilot.beta))
+    assert refit.converged
+    assert refit.iterations > 1
+    assert refit.objective <= pilot.objective
 
 
 def test_warm_start_plain_coefficients_accepted():
