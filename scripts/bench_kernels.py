@@ -152,7 +152,7 @@ def polish_us(designs, cfg, repeat: int) -> float:
         kappa = design.n * lam * np.ones(design.g - 1)
         polish, dual = _ls_finish(design, kappa, 2.0 * (X.T @ X),
                                   2.0 * (X.T @ y))
-        zd = res.beta._warm_state.s
+        zd, _ = res.beta._warm_state  # ADMM's (s, u); s is the mirror
 
         def attempt(polish=polish, dual=dual, zd=zd, X=X, y=y):
             dual(y - X @ polish(zd))

@@ -10,8 +10,9 @@ one BLAS thread:
   the Monte Carlo solver settings on the desk-grid cells (m = 0, 1), eight
   p = 2, g = 20 cells (q = 1 and 2) and, unless ``--quick``, the four
   p = 3, g = 100 Gaussian cells of the full grid (m = 0);
-- on every cell with p < 3, restarts from the returned state, one label
-  each: ``same_problem`` (the refit warm-started from itself),
+- on every cell with p < 3, restarts from the returned coefficients, one
+  label each, all of which run (a warm start is only a starting point):
+  ``same_problem`` (the refit warm-started from itself),
   ``double_lambda`` (the fused fit at twice the lambda, from the pilot),
   ``from_ls`` / ``from_quantile`` (the fused fit of the other loss, from
   the pilot), ``plain`` (from a plain copy of the pilot's coefficients)
@@ -25,11 +26,11 @@ one BLAS thread:
 Prints one JSON object: the fit and iteration counts, the fits per solver
 route, a digest over each fit's FitResult fields (coefficients, objective
 trace, iteration count, residuals, converged flag, detected set, route and
-duality gap) and returned restart state (the splitting state ``s`` and
-``u`` of an ADMM fit, and the differences its detected set was read off),
-and a digest over ``objective`` evaluated at each fit.  Equal digests mean
-equal bits.  Only what every checkout since the LP route returns is hashed,
-so two checkouts' digests compare even where their restart states differ.
+duality gap) and ADMM's splitting state ``s`` and ``u`` (None on the LP
+route), and a digest over ``objective`` evaluated at each fit.  Equal
+digests mean equal bits.  Only what every checkout since the LP route
+returns is hashed, so two checkouts' digests compare even where their
+restart states differ.
 
 ``--per-fit OUT`` also writes one JSON record per fit: its index, what it
 is (``label``), its loss and shape (``ls_separable`` and ``quantile_lp``
@@ -96,10 +97,11 @@ class Digest:
                            res.detected_set, res.overparameterized,
                            res.route, res.duality_gap)).encode())
         st = res.beta._warm_state
-        # an LP-route state has no splitting state; older checkouts name
-        # the differences of an ADMM state best_zd
-        for a in (getattr(st, "s", None), getattr(st, "u", None),
-                  getattr(st, "zd", getattr(st, "best_zd", None))):
+        # ADMM's (s, u), None on the LP route; older checkouts keep s and u
+        # as attributes of a state object (an LP-route one has neither)
+        if not isinstance(st, tuple):
+            st = (getattr(st, "s", None), getattr(st, "u", None))
+        for a in st:
             self._array(a)
         self.objectives.update(
             repr(self.gf.objective(design, spec, res.beta)).encode())

@@ -218,15 +218,18 @@ class FitResult:
     cannot resolve.
     ``objective_trace`` records, per outer iteration, the objective of the
     best (incumbent) point seen so far; ``beta`` is that incumbent, so the
-    trace is non-increasing and ends at its minimum.  ``route`` names the
+    trace is non-increasing and ends at its minimum.  A warm start is only
+    a starting point, so the trace starts at the fit's own first iterate;
+    on ADMM ``beta`` carries the fit's splitting state, from which a fit of
+    the same loss warm-started at ``beta`` restarts.  ``route`` names the
     solver route, ``"ipm"`` (the interior-point LP route of quantile fits
     with p = 1 or q = 1) or ``"admm"``.  ``duality_gap`` is the certified
     relative gap of ``beta``, (objective - dual bound) / max(1, objective),
     on the LP route and on ADMM's LS fits with p = 1 or q = 1; it is None
     on the other ADMM fits (q = 2, p > 1).  ``converged`` means
-    gap <= ``tol_rel`` on the LP route; on a separable LS fit, that gap
-    <= ``tol_rel`` or else the residual or step-stall rule; and on the
-    other ADMM fits, the residual or step-stall rule alone.
+    gap <= ``tol_rel`` wherever a gap is certified (the LP route and
+    separable LS fits), and on the other ADMM fits that the residual or
+    step-stall rule was met.
     ``primal_residual`` and ``dual_residual`` are the last iteration's
     stopping residuals on ADMM, and the equality residuals of the last
     interior-point iterate (A'a and c - A b - (w - z)) on the LP route.

@@ -15,10 +15,9 @@ on one of two routes, chosen from the problem's shape alone:
   (second-order cone programs), by operator splitting on the
   successive-difference operator D.  An LS fit with a separable penalty
   (p = 1 or q = 1) also tries a certified exact finish (``_ls_finish``,
-  below) and stops with ``converged`` once its relative duality gap is at
-  most ``tol_rel``; every other ADMM fit, and a separable LS fit that never
-  certifies, is ``converged`` when the residual or step-stall rule below
-  was met.
+  below) and is ``converged`` only if it stops on a relative duality gap of
+  at most ``tol_rel``; every other ADMM fit is ``converged`` when the
+  residual or step-stall rule below was met.
 
 One ADMM loop serves both losses.  The constraint A b = s is held as one
 stacked mirror s and one stacked scaled dual u.  For the quantile loss
@@ -72,15 +71,11 @@ non-finite iterate raises :class:`SolverError` naming the iteration.  The
 detected set is read off the returned point's difference mirror, which
 for a polished point is its own differences, exactly zero on fused pairs.
 
-Warm starts follow one rule, checked in :func:`fit` before the route is
-chosen: a start returned by a fit of this very problem (the same design
-object, loss, tau, q and pair weights) whose certified relative gap is
-within this fit's ``tol_rel`` is returned at once, after one iteration,
-with its own detected set and ``converged``.  Every other start is only a
-starting point: ADMM restarts from the splitting state of a fit of the
-same loss and never returns anything worse than that fit's point; any
-other vector starts ADMM's mirror at A b with a zero dual, and the LP
-route starts cold.
+A warm start is only a starting point.  The one state a fit attaches to
+the coefficients it returns is ADMM's splitting state (s, u), and ADMM
+restarts from it for a fit of the same loss; any other vector b starts
+ADMM's mirror at A b with a zero dual, and the LP route always starts
+cold.
 
 The default tuning schedules live here too.
 """
@@ -143,12 +138,10 @@ class SolverConfig:
     bounds what fusing the optimum's unresolvable differences may cost
     (see ``_fused_diffs``).
 
-    ``warm_start`` accepts any coefficient vector.  One returned by a fit
-    of this very problem with a certified gap within ``tol_rel`` is
-    returned at once (one iteration, its fit's detected set).  Any other
-    is a starting point: on ADMM, a vector returned by an ADMM fit of the
-    same loss restarts from that fit's splitting state, and the restart
-    never returns anything worse than it; the LP route starts cold.
+    ``warm_start`` accepts any coefficient vector and is only a starting
+    point: on ADMM, a vector returned by an ADMM fit of the same loss
+    restarts from that fit's splitting state, any other from the mirror
+    at A b; the LP route ignores it.
 
     The augmented-Lagrangian rate starts at ``RHO_INIT``; every
     ``ADAPT_EVERY`` iterations residual balancing may halve or double it
@@ -169,27 +162,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.fusion_tol < 0:
             raise ValueError("fusion_tol must be nonnegative")
-
-
-@dataclass(frozen=True, eq=False)
-class _FitState:
-    """What a fit attaches to the coefficients it returns, for restarts.
-
-    ``s`` and ``u`` are ADMM's stacked mirror and scaled dual (residual
-    block first, quantile loss only, then the difference block); both are
-    None on the LP route.  ``zd`` holds the differences the fit read its
-    detected set off, ``duality_gap`` its certified relative gap (None on
-    q = 2, p > 1 fits), and ``stop_primal`` and ``stop_dual`` the residuals
-    it reported.
-    """
-
-    s: np.ndarray | None
-    u: np.ndarray | None
-    zd: np.ndarray
-    problem_key: tuple
-    duality_gap: float | None
-    stop_primal: float
-    stop_dual: float
 
 
 class DiffOperator:
@@ -250,14 +222,6 @@ def _factorize(M: np.ndarray):
     return lambda rhs: inv @ rhs
 
 
-def _problem_key(design: GroupedDesign, spec: ProblemSpec,
-                 kappa: np.ndarray) -> tuple:
-    # GroupedDesign compares by identity, so the key names this very data
-    return (design, spec.loss,
-            spec.tau if spec.loss == "quantile" else None, spec.q,
-            kappa.tobytes())
-
-
 def _clip_bounds(alpha: float, tau: float, kappa_rho: np.ndarray, n_res: int,
                  p: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of the stacked clip for ``n_res`` residuals, then pairs.
@@ -292,51 +256,54 @@ def _merit(spec: ProblemSpec, kappa: np.ndarray, resid: np.ndarray,
     return float((resid * (spec.tau - (resid < 0))).sum()) + pen
 
 
-def _assemble(design, cfg, beta, trace, state: _FitState, converged: bool,
-              iterations: int) -> FitResult:
-    """The FitResult of ``beta``; its detected set is read off ``state.zd``."""
+def _assemble(design, cfg, beta, trace, zd, gap, primal, dual, state,
+              converged: bool, iterations: int) -> FitResult:
+    """The FitResult of ``beta``, its detected set read off ``zd``.
+
+    ``state`` is ADMM's splitting state (s, u), attached to the returned
+    coefficients for restarts; None on the LP route.
+    """
     g, p = design.g, design.p
     beta_gc = GroupedCoefficients.from_flat(beta, g, p)
     object.__setattr__(beta_gc, "_warm_state", state)
     detected = detection.detect_from_diffs(
-        state.zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
+        zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
     return FitResult(
         beta=beta_gc,
         detected_set=tuple(detected),
         objective_trace=tuple(trace),
         converged=converged,
         iterations=iterations,
-        primal_residual=state.stop_primal,
-        dual_residual=state.stop_dual,
+        primal_residual=float(primal),
+        dual_residual=float(dual),
         overparameterized=design.r > design.n,
-        route="ipm" if state.s is None else "admm",
-        duality_gap=state.duality_gap,
+        route="ipm" if state is None else "admm",
+        duality_gap=gap,
     )
 
 
 def _warm_arrays(cfg, design: GroupedDesign, D: DiffOperator, need_zr: bool):
-    """ADMM's initial (beta0, zd0, s, u) from the warm-start field.
+    """ADMM's initial (beta0, s, u) from the warm-start field.
 
     The splitting state of an ADMM fit of the same loss (a mirror of this
     fit's size; the residual block exists only if ``need_zr``) restarts
-    where that fit stopped, and ``zd0`` is the difference block it read its
-    detected set from.  Anything else is a plain start: the mirror at A b
-    for the warm coefficients b (or at zero), a zero dual and ``zd0`` None.
+    where that fit stopped.  Anything else is a plain start: the mirror at
+    A b for the warm coefficients b (or at zero) and a zero dual.
     """
     m = D.rows + (design.n if need_zr else 0)
     ws = cfg.warm_start
     beta0 = None if ws is None else ws.flat
     state = getattr(ws, "_warm_state", None)
-    if state is not None and state.s is not None and state.s.size == m:
+    if state is not None and state[0].size == m:
         # iterates are never written in place, so the state is shared
-        return beta0, state.zd, state.s, state.u
+        return beta0, *state
     if beta0 is None:
         s = np.zeros(m)
     elif need_zr:
         s = np.concatenate((design.X @ beta0, D.apply(beta0)))
     else:
         s = D.apply(beta0)
-    return beta0, None, s, np.zeros(m)
+    return beta0, s, np.zeros(m)
 
 
 def _jacobi(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,7 +374,11 @@ def _ls_finish(design: GroupedDesign, kappa: np.ndarray, XtX2: np.ndarray,
     along Z = X [I; ...; I] (so that X'a = D's), s_j the cumulative block
     sums of X'a, and a scaled by t = min(1, min_j kappa_j / ||s_j||_inf)
     into the dual feasible set; the value is t y'a - t^2 ||a||^2 / 4, a
-    lower bound on the optimum.
+    lower bound on the optimum.  A pair with kappa_j = 0 needs s_j = 0, so
+    a also loses its component along that pair's cumulative group sums of
+    X (Z is then replaced by the sums of X over the runs of groups that
+    such pairs separate, whose span holds Z's columns), and the pair is
+    left out of t.
     """
     n, g, p = design.n, design.g, design.p
     X, y = design.X, design.y
@@ -417,6 +388,10 @@ def _ls_finish(design: GroupedDesign, kappa: np.ndarray, XtX2: np.ndarray,
     gram, xty = XtX2[np.ix_(perm, perm)], Xty2[perm]
     kr = np.repeat(kappa, p)
     Z = X.reshape(n, g, p).sum(axis=1)
+    free = kappa == 0.0
+    if free.any():
+        starts = np.concatenate(([0], np.flatnonzero(free) + 1))
+        Z = np.add.reduceat(X.reshape(n, g, p), starts, axis=1).reshape(n, -1)
     solve_z = _factorize(Z.T @ Z)
 
     def polish(zd):
@@ -439,7 +414,7 @@ def _ls_finish(design: GroupedDesign, kappa: np.ndarray, XtX2: np.ndarray,
         a -= Z @ solve_z(Z.T @ a)
         s = np.cumsum((a @ X).reshape(g, p), axis=0)[:-1]
         sup = np.abs(s).max(axis=1, initial=0.0)
-        tight = sup > kappa
+        tight = (sup > kappa) & ~free
         t = float((kappa[tight] / sup[tight]).min()) if tight.any() else 1.0
         return t * float(y @ a) - t * t * float(a @ a) / 4.0
 
@@ -447,7 +422,7 @@ def _ls_finish(design: GroupedDesign, kappa: np.ndarray, XtX2: np.ndarray,
 
 
 def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
-          kappa: np.ndarray, key: tuple) -> FitResult:
+          kappa: np.ndarray) -> FitResult:
     """The splitting loop for LS fits and q = 2, p > 1 quantile fits.
 
     The constraint A b = s stacks the residual block X b (quantile loss
@@ -465,12 +440,12 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     and at ``max_iter``, and stops ``converged`` once the incumbent's
     certified relative gap is within ``tol_rel``; if it never is, the fit
     stops on the residual rule (or at ``max_iter``) as any other ADMM fit,
-    still reporting its gap.
+    but not ``converged``, still reporting its gap.
 
-    A warm start that :func:`fit` did not return at once is a starting
-    point: the splitting state of an ADMM fit of the same loss restarts
-    where that fit stopped, at the starting rate and with that fit's point
-    as the incumbent; any other vector b starts the mirror at A b.
+    A warm start is a starting point: the splitting state of an ADMM fit of
+    the same loss restarts where that fit stopped, at the starting rate;
+    any other vector b starts the mirror at A b.  The incumbent is always
+    this fit's own best iterate.
     """
     n, g, p = design.n, design.g, design.p
     X, y = design.X, design.y
@@ -519,7 +494,7 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         lo, hi = _clip_bounds(1.0 / rho, tau, clipped, off, p)
         return lo, hi, kappa_rho
 
-    beta0, zd0, s, u = _warm_arrays(cfg, design, D, need_zr=not ls)
+    _, s, u = _warm_arrays(cfg, design, D, need_zr=not ls)
     if separable:
         polish, dual = _ls_finish(design, kappa, XtX2, Xty2)
     # the best dual bound and the incumbent's relative gap to it
@@ -530,11 +505,6 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     lo, hi, kappa_rho = thresholds(rho)
     # the incumbent: every iterate is a fresh array, so it keeps references
     best, best_beta, best_zd, trace = np.inf, None, None, []
-    if zd0 is not None:
-        # never return anything worse than a vector that fit returned, and
-        # return it with the detected set its fit read (zd0)
-        best = _merit(spec, kappa, y - X @ beta0, D.apply(beta0), p)
-        best_beta, best_zd = beta0, zd0
     alpha = OVER_RELAX
     keep = 1.0 - alpha
     Ab = np.empty(off + md)  # [X b; D b], rewritten in every iteration
@@ -614,7 +584,8 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
                 converged = True
                 break
         if stop:
-            converged = True
+            # a separable fit is converged only on its certificate
+            converged = not separable
             break
 
         if balance:
@@ -630,10 +601,8 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
                 rho = new_rho
                 lo, hi, kappa_rho = thresholds(rho)
 
-    state = _FitState(s=s, u=u, zd=best_zd, problem_key=key,
-                      duality_gap=gap, stop_primal=float(rnorm),
-                      stop_dual=float(snorm))
-    return _assemble(design, cfg, best_beta, trace, state, converged, it)
+    return _assemble(design, cfg, best_beta, trace, best_zd, gap, rnorm,
+                     snorm, (s, u), converged, it)
 
 
 def _best_levels(t: np.ndarray, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -794,7 +763,7 @@ def _fused_diffs(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
 
 
 def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
-            kappa: np.ndarray, key: tuple) -> FitResult:
+            kappa: np.ndarray) -> FitResult:
     """Frisch-Newton interior point for an LP-shaped quantile fit.
 
     With p = 1 or q = 1 the objective is a weighted L1 regression on the
@@ -809,8 +778,8 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     detected set off :func:`_fused_diffs`, with the best dual bound as the
     certificate.
 
-    The route starts cold: :func:`fit` returns a certified start of this
-    very problem before the route runs, and every other start is ignored.
+    The route always starts cold, whatever the warm start, and attaches no
+    restart state to the coefficients it returns.
     """
     n, g, p = design.n, design.g, design.p
     X, y, tau = design.X, design.y, spec.tau
@@ -929,10 +898,9 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     zd = (_fused_diffs(design, spec, cfg, kappa, best_b, best_dual, objective)
           if converged else D.apply(best_b))
     # the equality residuals of the last iterate: A'a and c - A b - (w - z)
-    state = _FitState(s=None, u=None, zd=zd, problem_key=key,
-                      duality_gap=gap, stop_primal=_norm(At(d - (1.0 - t))),
-                      stop_dual=_norm(c - A(b) + z - w))
-    return _assemble(design, cfg, best_b, trace, state, converged, it)
+    return _assemble(design, cfg, best_b, trace, zd, gap,
+                     _norm(At(d - (1.0 - t))), _norm(c - A(b) + z - w), None,
+                     converged, it)
 
 
 def fit(design: GroupedDesign, spec: ProblemSpec,
@@ -965,19 +933,9 @@ def fit(design: GroupedDesign, spec: ProblemSpec,
     kappa = design.n * spec.lam * weights
     if (kappa < 0).any():
         raise ValueError("kappa must be nonnegative")
-    key = _problem_key(design, spec, kappa)
-    state = getattr(ws, "_warm_state", None)
-    if (state is not None and state.problem_key == key
-            and state.duality_gap is not None
-            and state.duality_gap <= cfg.tol_rel):
-        # a fit of this very problem, certified to this fit's tolerance
-        beta = ws.flat
-        obj = _merit(spec, kappa, design.y - design.X @ beta,
-                     DiffOperator(g, p).apply(beta), p)
-        return _assemble(design, cfg, beta, [obj], state, True, 1)
     if spec.loss == "quantile" and (p == 1 or spec.q == 1):
-        return _lp_ipm(design, spec, cfg, kappa, key)
-    return _admm(design, spec, cfg, kappa, key)
+        return _lp_ipm(design, spec, cfg, kappa)
+    return _admm(design, spec, cfg, kappa)
 
 
 # ---------------------------------------------------------------------------

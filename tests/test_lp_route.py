@@ -190,11 +190,11 @@ def test_lp_route_vector_is_a_plain_start_for_admm():
     design = GroupedDesign(X=rng.standard_normal((20, 5)),
                            y=rng.standard_normal(20), g=5, p=1)
     qr = fit(design, ProblemSpec(loss="quantile", q=1, lam=0.1))
-    assert qr.route == "ipm" and qr.beta._warm_state.s is None
-    beta0, zd0, s, u = solver._warm_arrays(
+    assert qr.route == "ipm" and qr.beta._warm_state is None
+    beta0, s, u = solver._warm_arrays(
         SolverConfig(warm_start=qr.beta), design, DiffOperator(5, 1),
         need_zr=False)
-    assert zd0 is None
+    np.testing.assert_array_equal(beta0, qr.beta.flat)
     np.testing.assert_array_equal(s, DiffOperator(5, 1).apply(qr.beta.flat))
     assert not u.any()
 

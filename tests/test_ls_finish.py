@@ -101,6 +101,8 @@ def test_halved_prox_threshold_reports_a_gap_above_tol_rel(monkeypatch):
     design, wrong = _desk_ls_fits(0, 0)
     for (spec, res), (_, ref) in zip(wrong, exact):
         assert res.duality_gap > MC_SOLVER_CONFIG.tol_rel
+        # the residual rule stopped it, but it is not certified
+        assert res.converged is False
         # the certified reference lies within 1e-12 of the optimum, and
         # the reported gap still bounds the wrong fit's distance from it
         obj = objective(design, spec, res.beta)
@@ -108,7 +110,38 @@ def test_halved_prox_threshold_reports_a_gap_above_tol_rel(monkeypatch):
         true_gap = (obj - ref.objective) / max(1.0, obj)
         assert 1e-3 < true_gap <= res.duality_gap + 1e-12
     fused, _ = wrong[0]
-    assert fit(design, fused).duality_gap > SolverConfig().tol_rel
+    res = fit(design, fused)
+    assert res.duality_gap > SolverConfig().tol_rel
+    assert res.converged is False
+
+
+def test_residual_stop_without_certificate_is_not_converged():
+    # full grid, p = 1, g = 100, Gaussian, 10 changes, m = 4: the fused LS
+    # fit meets the residual rule at a certified gap above tol_rel
+    conf = Path(__file__).resolve().parent.parent / "scripts/full_grid.conf"
+    spec = next(c for c in load_scenario_grid(conf)
+                if (c.p, c.g, c.error_dist, c.changes)
+                == (1, 100, "gaussian", 10))
+    design = generate_instance(spec, np.random.default_rng((spec.seed, 4)))[0]
+    fused = ProblemSpec(loss="ls", q=spec.q,
+                        lam=default_schedules(design.n, "fused")[0])
+    res = fit(design, fused, MC_SOLVER_CONFIG)
+    assert res.iterations == 108
+    assert res.duality_gap == pytest.approx(5.5e-4, rel=0.01)
+    assert res.converged is False
+
+
+@pytest.mark.parametrize("n, g, p, q", [(20, 5, 1, 2), (20, 4, 2, 1),
+                                        (3, 4, 1, 1)])
+def test_unpenalized_fit_is_certified(n, g, p, q):
+    # at lambda = 0 every pair weight is 0, so the dual point must make
+    # every s_j vanish, not scale a to 0 (the last case has r > n)
+    rng = np.random.default_rng(90 + g + p)
+    design = GroupedDesign(X=rng.standard_normal((n, g * p)),
+                           y=rng.standard_normal(n), g=g, p=p)
+    res = fit(design, ProblemSpec(loss="ls", q=q, lam=0.0))
+    assert res.converged
+    assert res.duality_gap <= SolverConfig().tol_rel
 
 
 @pytest.mark.parametrize("g, p, q", [(1, 1, 1), (3, 1, 2), (2, 2, 1),
