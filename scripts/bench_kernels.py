@@ -25,8 +25,9 @@ Prints one JSON object:
   --q 1 --auto-lambda`` on the air dataset;
 - ``polish_us``: microseconds per attempt of the certified exact finish of
   separable LS fits (``solver._ls_finish``: the polish of a difference
-  mirror, the residuals of the polished point and its dual bound), on the
-  mirrors the fused LS fits of the desk cells stop at (``desk.r20`` and
+  vector, the residuals of the polished point and its dual bound), on the
+  differences D b of the points the fused LS fits of the desk cells return
+  (a certified fit's fused pairs are exact zeros there; ``desk.r20`` and
   ``desk.r100``, averaged over the four cells of each size, at the Monte
   Carlo solver settings) and of ``groupfuse fit --q 1 --auto-lambda`` on
   the air dataset (``air_q1``, r = 48).
@@ -141,9 +142,10 @@ def lp_route(designs, cfg, adaptive: bool, repeat: int) -> dict:
 
 
 def polish_us(designs, cfg, repeat: int) -> float:
-    """us per polish attempt on the mirrors the fused LS fits stop at."""
+    """us per polish attempt on the differences of the fused LS fits."""
     from groupfuse import ProblemSpec
-    from groupfuse.solver import _ls_finish, default_schedules, fit
+    from groupfuse.solver import (DiffOperator, _ls_finish,
+                                  default_schedules, fit)
     attempts = []
     for design, _, _ in designs:
         X, y = design.X, design.y
@@ -152,7 +154,8 @@ def polish_us(designs, cfg, repeat: int) -> float:
         kappa = design.n * lam * np.ones(design.g - 1)
         polish, dual = _ls_finish(design, kappa, 2.0 * (X.T @ X),
                                   2.0 * (X.T @ y))
-        zd, _ = res.beta._warm_state  # ADMM's (s, u); s is the mirror
+        # a certified fit's fused pairs are exact zeros of its differences
+        zd = DiffOperator(design.g, design.p).apply(res.beta.flat)
 
         def attempt(polish=polish, dual=dual, zd=zd, X=X, y=y):
             dual(y - X @ polish(zd))

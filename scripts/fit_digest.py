@@ -11,12 +11,13 @@ one BLAS thread:
   p = 2, g = 20 cells (q = 1 and 2) and, unless ``--quick``, the four
   p = 3, g = 100 Gaussian cells of the full grid (m = 0);
 - on every cell with p < 3, restarts from the returned coefficients, one
-  label each, all of which run (a warm start is only a starting point):
-  ``same_problem`` (the refit warm-started from itself),
+  label each (a warm start is a coefficient vector, so every restart
+  runs): ``same_problem`` (the refit warm-started from itself),
   ``double_lambda`` (the fused fit at twice the lambda, from the pilot),
   ``from_ls`` / ``from_quantile`` (the fused fit of the other loss, from
-  the pilot), ``plain`` (from a plain copy of the pilot's coefficients)
-  and ``max_iter`` (a cold stop at max_iter = 3);
+  the pilot), ``pilot_copy`` (the fused fit from a copy of its own
+  coefficients, rebuilt by ``GroupedCoefficients.from_flat``) and
+  ``max_iter`` (a cold stop at max_iter = 3);
 - the same on one desk cell at the default solver settings and on 60 tiny
   instances (g * p <= 4, q = 1 and 2, several tau);
 - all-zero designs at g = 1, 3, 5 (p = 1) and g = 2 (p = 2), both losses,
@@ -26,11 +27,9 @@ one BLAS thread:
 Prints one JSON object: the fit and iteration counts, the fits per solver
 route, a digest over each fit's FitResult fields (coefficients, objective
 trace, iteration count, residuals, converged flag, detected set, route and
-duality gap) and ADMM's splitting state ``s`` and ``u`` (None on the LP
-route), and a digest over ``objective`` evaluated at each fit.  Equal
-digests mean equal bits.  Only what every checkout since the LP route
-returns is hashed, so two checkouts' digests compare even where their
-restart states differ.
+duality gap), and a digest over ``objective`` evaluated at each fit.
+Equal digests mean equal bits.  Only FitResult fields are hashed, so the
+digests of any two checkouts since the LP route compare.
 
 ``--per-fit OUT`` also writes one JSON record per fit: its index, what it
 is (``label``), its loss and shape (``ls_separable`` and ``quantile_lp``
@@ -96,13 +95,6 @@ class Digest:
                            res.primal_residual, res.dual_residual,
                            res.detected_set, res.overparameterized,
                            res.route, res.duality_gap)).encode())
-        st = res.beta._warm_state
-        # ADMM's (s, u), None on the LP route; older checkouts keep s and u
-        # as attributes of a state object (an LP-route one has neither)
-        if not isinstance(st, tuple):
-            st = (getattr(st, "s", None), getattr(st, "u", None))
-        for a in st:
-            self._array(a)
         self.objectives.update(
             repr(self.gf.objective(design, spec, res.beta)).encode())
         self.records.append({
@@ -151,7 +143,7 @@ def replication(dg, design, cell, cfg, restarts):
                replace(cfg, warm_start=pilot.beta), f"from_{loss}")
         plain = gf.GroupedCoefficients.from_flat(pilot.beta.flat.copy(),
                                                  design.g, design.p)
-        dg.fit(design, fused, replace(cfg, warm_start=plain), "plain")
+        dg.fit(design, fused, replace(cfg, warm_start=plain), "pilot_copy")
         dg.fit(design, fused, replace(cfg, max_iter=3), "max_iter")
 
 

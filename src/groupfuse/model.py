@@ -8,6 +8,7 @@ group coefficient blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,13 +160,15 @@ class ProblemSpec:
     q:
         Norm index of the per-pair difference penalty, 1 or 2.
     lam:
-        Tuning parameter in user units; the objective applies the extra
-        factor ``n`` internally, so ``lam`` stays in rate-schedule units.
+        Finite, nonnegative tuning parameter in user units; the objective
+        applies the extra factor ``n`` internally, so ``lam`` stays in
+        rate-schedule units.
     weight_mode:
         ``"uniform"`` (all pair weights 1) or ``"adaptive"`` (weights built
         from a pilot estimate, see :func:`groupfuse.penalties.adaptive_weights`).
     gamma:
-        Exponent of the adaptive weights; must be positive.
+        Exponent of the adaptive weights; must be finite, and positive for
+        adaptive weights.
     pilot:
         Pilot coefficient estimate; required when ``weight_mode="adaptive"``.
     """
@@ -185,10 +188,13 @@ class ProblemSpec:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.q not in (1, 2):
             raise ValueError(f"penalty norm index q must be 1 or 2, got {self.q}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(
+                f"lam must be finite and nonnegative, got {self.lam}")
         if self.weight_mode not in ("uniform", "adaptive"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.weight_mode == "adaptive":
             if self.gamma <= 0:
                 raise ValueError("gamma must be positive for adaptive weights")
@@ -218,15 +224,16 @@ class FitResult:
     cannot resolve.
     ``objective_trace`` records, per outer iteration, the objective of the
     best (incumbent) point seen so far; ``beta`` is that incumbent, so the
-    trace is non-increasing and ends at its minimum.  A warm start is only
-    a starting point, so the trace starts at the fit's own first iterate;
-    on ADMM ``beta`` carries the fit's splitting state, from which a fit of
-    the same loss warm-started at ``beta`` restarts.  ``route`` names the
-    solver route, ``"ipm"`` (the interior-point LP route of quantile fits
-    with p = 1 or q = 1) or ``"admm"``.  ``duality_gap`` is the certified
-    relative gap of ``beta``, (objective - dual bound) / max(1, objective),
-    on the LP route and on ADMM's LS fits with p = 1 or q = 1; it is None
-    on the other ADMM fits (q = 2, p > 1).  ``converged`` means
+    trace is non-increasing and ends at its minimum.  A warm start is a
+    coefficient vector, so the trace starts at the fit's own first iterate,
+    and ``beta`` carries nothing but its values: a fit warm-started at
+    ``beta`` and one warm-started at a copy of it are the same.  ``route``
+    names the solver route, ``"ipm"`` (the interior-point LP route of
+    quantile fits with p = 1 or q = 1) or ``"admm"``.  ``duality_gap`` is
+    the certified relative gap of ``beta``,
+    (objective - dual bound) / max(1, objective), on the LP route and on
+    ADMM's LS fits with p = 1 or q = 1; it is None on the other ADMM fits
+    (q = 2, p > 1).  ``converged`` means
     gap <= ``tol_rel`` wherever a gap is certified (the LP route and
     separable LS fits), and on the other ADMM fits that the residual or
     step-stall rule was met.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import csv
 import time
 from dataclasses import astuple, asdict, dataclass, field, fields, replace
@@ -69,8 +70,8 @@ class ScenarioSpec:
             raise ValueError("tau must lie in (0, 1)")
         if self.q not in (1, 2):
             raise ValueError("q must be 1 or 2")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.M < 1:
             raise ValueError("M must be at least 1")
         if self.changes < 0:
@@ -284,6 +285,8 @@ def _parse_number(text: str, line_no: int):
         v = float(text)
     except ValueError:
         raise ConfigError(f"line {line_no}: {text!r} is not a number") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"line {line_no}: {text!r} is not finite")
     return int(v) if v == int(v) and "." not in text else v
 
 

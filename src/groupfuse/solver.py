@@ -71,11 +71,10 @@ non-finite iterate raises :class:`SolverError` naming the iteration.  The
 detected set is read off the returned point's difference mirror, which
 for a polished point is its own differences, exactly zero on fused pairs.
 
-A warm start is only a starting point.  The one state a fit attaches to
-the coefficients it returns is ADMM's splitting state (s, u), and ADMM
-restarts from it for a fit of the same loss; any other vector b starts
-ADMM's mirror at A b with a zero dual, and the LP route always starts
-cold.
+A warm start is a coefficient vector, and a fit depends only on its
+values: ADMM starts its mirror at A b for the warm coefficients b, with a
+zero dual, and the LP route ignores the start.  Nothing is attached to
+the coefficients a fit returns.
 
 The default tuning schedules live here too.
 """
@@ -138,10 +137,8 @@ class SolverConfig:
     bounds what fusing the optimum's unresolvable differences may cost
     (see ``_fused_diffs``).
 
-    ``warm_start`` accepts any coefficient vector and is only a starting
-    point: on ADMM, a vector returned by an ADMM fit of the same loss
-    restarts from that fit's splitting state, any other from the mirror
-    at A b; the LP route ignores it.
+    ``warm_start`` is a coefficient vector b, and only its values count:
+    ADMM starts its mirror at A b with a zero dual; the LP route ignores it.
 
     The augmented-Lagrangian rate starts at ``RHO_INIT``; every
     ``ADAPT_EVERY`` iterations residual balancing may halve or double it
@@ -158,10 +155,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.fusion_tol < 0:
-            raise ValueError("fusion_tol must be nonnegative")
+        if not all(0.0 < t < math.inf for t in (self.tol_abs, self.tol_rel)):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 <= self.fusion_tol < math.inf:
+            raise ValueError("fusion_tol must be finite and nonnegative")
 
 
 class DiffOperator:
@@ -256,16 +253,11 @@ def _merit(spec: ProblemSpec, kappa: np.ndarray, resid: np.ndarray,
     return float((resid * (spec.tau - (resid < 0))).sum()) + pen
 
 
-def _assemble(design, cfg, beta, trace, zd, gap, primal, dual, state,
+def _assemble(design, cfg, beta, trace, zd, gap, primal, dual, route: str,
               converged: bool, iterations: int) -> FitResult:
-    """The FitResult of ``beta``, its detected set read off ``zd``.
-
-    ``state`` is ADMM's splitting state (s, u), attached to the returned
-    coefficients for restarts; None on the LP route.
-    """
+    """The FitResult of ``beta`` on ``route``, detected set read off ``zd``."""
     g, p = design.g, design.p
     beta_gc = GroupedCoefficients.from_flat(beta, g, p)
-    object.__setattr__(beta_gc, "_warm_state", state)
     detected = detection.detect_from_diffs(
         zd.reshape(g - 1, p), beta_gc.stacked(), cfg.fusion_tol)
     return FitResult(
@@ -277,33 +269,9 @@ def _assemble(design, cfg, beta, trace, zd, gap, primal, dual, state,
         primal_residual=float(primal),
         dual_residual=float(dual),
         overparameterized=design.r > design.n,
-        route="ipm" if state is None else "admm",
+        route=route,
         duality_gap=gap,
     )
-
-
-def _warm_arrays(cfg, design: GroupedDesign, D: DiffOperator, need_zr: bool):
-    """ADMM's initial (beta0, s, u) from the warm-start field.
-
-    The splitting state of an ADMM fit of the same loss (a mirror of this
-    fit's size; the residual block exists only if ``need_zr``) restarts
-    where that fit stopped.  Anything else is a plain start: the mirror at
-    A b for the warm coefficients b (or at zero) and a zero dual.
-    """
-    m = D.rows + (design.n if need_zr else 0)
-    ws = cfg.warm_start
-    beta0 = None if ws is None else ws.flat
-    state = getattr(ws, "_warm_state", None)
-    if state is not None and state[0].size == m:
-        # iterates are never written in place, so the state is shared
-        return beta0, *state
-    if beta0 is None:
-        s = np.zeros(m)
-    elif need_zr:
-        s = np.concatenate((design.X @ beta0, D.apply(beta0)))
-    else:
-        s = D.apply(beta0)
-    return beta0, s, np.zeros(m)
 
 
 def _jacobi(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,9 +410,8 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     stops on the residual rule (or at ``max_iter``) as any other ADMM fit,
     but not ``converged``, still reporting its gap.
 
-    A warm start is a starting point: the splitting state of an ADMM fit of
-    the same loss restarts where that fit stopped, at the starting rate;
-    any other vector b starts the mirror at A b.  The incumbent is always
+    A warm start is a coefficient vector b: the mirror starts at A b (at
+    zero without a start) and the dual at zero.  The incumbent is always
     this fit's own best iterate.
     """
     n, g, p = design.n, design.g, design.p
@@ -494,7 +461,10 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
         lo, hi = _clip_bounds(1.0 / rho, tau, clipped, off, p)
         return lo, hi, kappa_rho
 
-    _, s, u = _warm_arrays(cfg, design, D, need_zr=not ls)
+    b0 = None if cfg.warm_start is None else cfg.warm_start.flat
+    s = (np.zeros(off + md) if b0 is None
+         else np.concatenate((X[:off] @ b0, D.apply(b0))))
+    u = np.zeros(off + md)
     if separable:
         polish, dual = _ls_finish(design, kappa, XtX2, Xty2)
     # the best dual bound and the incumbent's relative gap to it
@@ -602,7 +572,7 @@ def _admm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
                 lo, hi, kappa_rho = thresholds(rho)
 
     return _assemble(design, cfg, best_beta, trace, best_zd, gap, rnorm,
-                     snorm, (s, u), converged, it)
+                     snorm, "admm", converged, it)
 
 
 def _best_levels(t: np.ndarray, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -778,8 +748,8 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
     detected set off :func:`_fused_diffs`, with the best dual bound as the
     certificate.
 
-    The route always starts cold, whatever the warm start, and attaches no
-    restart state to the coefficients it returns.
+    A warm start is a coefficient vector, and this route ignores it: it
+    always starts cold.
     """
     n, g, p = design.n, design.g, design.p
     X, y, tau = design.X, design.y, spec.tau
@@ -899,7 +869,7 @@ def _lp_ipm(design: GroupedDesign, spec: ProblemSpec, cfg: SolverConfig,
           if converged else D.apply(best_b))
     # the equality residuals of the last iterate: A'a and c - A b - (w - z)
     return _assemble(design, cfg, best_b, trace, zd, gap,
-                     _norm(At(d - (1.0 - t))), _norm(c - A(b) + z - w), None,
+                     _norm(At(d - (1.0 - t))), _norm(c - A(b) + z - w), "ipm",
                      converged, it)
 
 

@@ -193,6 +193,22 @@ def test_cmd_fit_input_errors_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, name", [
+    (["--auto-lambda", "--fusion-tol", "nan"], "fusion_tol"),
+    (["--auto-lambda", "--adaptive", "--gamma", "inf"], "gamma"),
+    (["--lambda", "nan"], "lam"),
+    (["--lambda", "inf"], "lam"),
+], ids=["fusion_tol_nan", "gamma_inf", "lambda_nan", "lambda_inf"])
+def test_cmd_fit_rejects_non_finite_input(tmp_path, capsys, extra, name):
+    out = tmp_path / "never.json"
+    assert main(["fit", str(small_csv(tmp_path)), "--response", "y", *extra,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "iteration" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [[], ["--standardize"], ["--adaptive"]],
                          ids=["q1", "q1_std", "q1_adaptive"])
 def test_cmd_fit_air_quantile_q1_converges(tmp_path, extra):
@@ -322,6 +338,16 @@ def test_cmd_simulate_bad_config_exit_1(tmp_path, capsys):
     assert main(["simulate", str(conf), "--out", str(tmp_path / "o"),
                  "--workers", "0"]) == 1
     assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", ["M = nan", "g = inf", "gamma = inf"])
+def test_cmd_simulate_rejects_non_finite_config(tmp_path, capsys, line):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(SIM_CONF + line + "\n")
+    assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 7: ") and "not finite" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -185,20 +185,6 @@ def test_stall_at_the_rounding_floor_ends_converged(monkeypatch):
     assert np.all(np.diff(trace) <= 0.0)
 
 
-def test_lp_route_vector_is_a_plain_start_for_admm():
-    rng = np.random.default_rng(11)
-    design = GroupedDesign(X=rng.standard_normal((20, 5)),
-                           y=rng.standard_normal(20), g=5, p=1)
-    qr = fit(design, ProblemSpec(loss="quantile", q=1, lam=0.1))
-    assert qr.route == "ipm" and qr.beta._warm_state is None
-    beta0, s, u = solver._warm_arrays(
-        SolverConfig(warm_start=qr.beta), design, DiffOperator(5, 1),
-        need_zr=False)
-    np.testing.assert_array_equal(beta0, qr.beta.flat)
-    np.testing.assert_array_equal(s, DiffOperator(5, 1).apply(qr.beta.flat))
-    assert not u.any()
-
-
 @pytest.mark.parametrize("g, p", [(1, 2), (2, 1), (5, 1), (4, 3)])
 def test_weighted_gram_matches_dense(g, p):
     op = DiffOperator(g, p)

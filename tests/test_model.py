@@ -176,6 +176,12 @@ def test_problem_spec_validation():
                     pilot=GroupedCoefficients.from_flat([0.0], 1, 1))
     with pytest.raises(ValueError, match="q"):
         ProblemSpec(loss="ls", q=3)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam"):
+            ProblemSpec(loss="ls", lam=bad)
+        with pytest.raises(ValueError, match="gamma"):
+            ProblemSpec(loss="ls", lam=0.1, weight_mode="adaptive", gamma=bad,
+                        pilot=GroupedCoefficients.from_flat([0.0], 1, 1))
 
 
 def test_fit_result_rejects_labels_outside_range():

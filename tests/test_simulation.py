@@ -97,6 +97,9 @@ def test_scenario_spec_validation():
         ScenarioSpec(changes=2.5)
     with pytest.raises(ValueError):
         ScenarioSpec(M=0)
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            ScenarioSpec(gamma=gamma)
 
 
 def test_fraction_changes_resolve_against_n():
@@ -183,6 +186,12 @@ def test_load_scenario_grid_errors(tmp_path):
     bad_dist.write_text("errors = laplace\n")
     with pytest.raises(ConfigError, match="laplace"):
         load_scenario_grid(bad_dist)
+
+    # an exponent without a point still reads as an integer
+    exponent = tmp_path / "e.conf"
+    exponent.write_text("g = 20\nchanges = 1e1\n")
+    (spec,) = load_scenario_grid(exponent)
+    assert spec.changes == 10 and isinstance(spec.changes, int)
 
     impossible = tmp_path / "d.conf"
     impossible.write_text("g = 4\nchanges = 9\n")

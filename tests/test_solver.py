@@ -110,7 +110,7 @@ def test_objective_trace_monotone_and_ends_at_minimum():
     ProblemSpec(loss="ls", q=2, lam=0.2),
     ProblemSpec(loss="quantile", tau=0.5, q=2, lam=0.2),
 ])
-def test_warm_start_from_solution_is_instant(spec):
+def test_warm_start_from_solution_stays_at_the_optimum(spec):
     rng = np.random.default_rng(21)
     X = rng.standard_normal((12, 4))
     y = rng.standard_normal(12)
@@ -124,37 +124,40 @@ def test_warm_start_from_solution_is_instant(spec):
         assert again.beta.flat.tobytes() == first.beta.flat.tobytes()
         assert again.detected_set == first.detected_set
         return
-    # ADMM restarts from a splitting state at its fixed point
-    assert again.iterations <= 2
+    # ADMM restarts at the optimum's coefficients, with a zero dual
     assert again.objective <= first.objective + 1e-8
 
 
-@pytest.mark.parametrize("loss", ["ls", "quantile"])
-def test_warm_state_is_reused_only_by_a_fit_of_the_same_loss(loss):
+def _result_fields(res):
+    return (res.beta.flat.tobytes(), res.objective_trace, res.converged,
+            res.iterations, res.primal_residual, res.dual_residual,
+            res.detected_set, res.overparameterized, res.route,
+            res.duality_gap)
+
+
+@pytest.mark.parametrize("pilot_spec, spec", [
+    (ProblemSpec(loss="ls", q=2, lam=0.2), ProblemSpec(loss="ls", q=2)),
+    (ProblemSpec(loss="quantile", tau=0.3, q=2, lam=0.2),
+     ProblemSpec(loss="quantile", tau=0.3, q=2)),
+    # a quantile fit with q = 1 takes the LP route; its vector feeds ADMM
+    (ProblemSpec(loss="quantile", tau=0.3, q=1, lam=0.2),
+     ProblemSpec(loss="quantile", tau=0.3, q=2)),
+], ids=["admm_ls", "admm_quantile", "lp_start"])
+def test_fit_depends_only_on_the_values_of_its_warm_start(pilot_spec, spec):
+    # the adaptive refit warm-started from its pilot's returned coefficients
+    # and from a copy rebuilt off their values gives the same bits
     rng = np.random.default_rng(22)
-    X = rng.standard_normal((12, 4))
-    # a quantile fit at p = 1 is a linear program and takes the interior
-    # point route, which keeps no splitting state: run both losses at
-    # p = 2, q = 2, where both take ADMM
-    design = GroupedDesign(X=X, y=rng.standard_normal(12), g=2, p=2)
-    other = GroupedDesign(X=X, y=rng.standard_normal(12), g=2, p=2)
-    first = fit(design, ProblemSpec(loss=loss, q=2, lam=0.2))
-    assert first.converged
-    state_s, state_u = first.beta._warm_state
-    cfg = SolverConfig(warm_start=first.beta)
-    D = DiffOperator(2, 2)
-    # another design of the same loss restarts from the splitting state
-    beta0, s, u = solver._warm_arrays(cfg, other, D,
-                                      need_zr=loss == "quantile")
-    np.testing.assert_array_equal(beta0, first.beta.flat)
-    assert s is state_s and u is state_u
-    # a fit of the other loss takes the vector as a plain start
-    need_zr = loss == "ls"
-    beta0, s, u = solver._warm_arrays(cfg, other, D, need_zr=need_zr)
-    Db = D.apply(first.beta.flat)
-    np.testing.assert_array_equal(
-        s, np.concatenate((X @ first.beta.flat, Db)) if need_zr else Db)
-    assert s.size == u.size and not u.any()
+    g, p = 4, 2
+    design = GroupedDesign(X=rng.standard_normal((24, g * p)),
+                           y=rng.standard_normal(24), g=g, p=p)
+    pilot = fit(design, pilot_spec)
+    adaptive = replace(spec, lam=0.5, weight_mode="adaptive", gamma=1.0,
+                       pilot=pilot.beta)
+    copy = GroupedCoefficients.from_flat(pilot.beta.flat.copy(), g, p)
+    refit = fit(design, adaptive, SolverConfig(warm_start=pilot.beta))
+    again = fit(design, adaptive, SolverConfig(warm_start=copy))
+    assert refit.route == "admm"
+    assert _result_fields(again) == _result_fields(refit)
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -174,9 +177,9 @@ def test_warm_start_across_losses(q):
 
 
 def test_restart_below_the_starts_gap_is_not_returned_at_once():
-    # a warm start is only a starting point: at a tolerance tighter than
+    # a warm start is a coefficient vector: at a tolerance tighter than
     # the start's certified gap the fit runs on (the LP route from a cold
-    # start, ADMM from the state) and ends no worse
+    # start, ADMM from the start's coefficients) and ends no worse
     rng = np.random.default_rng(11)
     design = GroupedDesign(X=rng.standard_normal((20, 5)),
                            y=rng.standard_normal(20), g=5, p=1)
@@ -194,7 +197,8 @@ def test_restart_below_the_starts_gap_is_not_returned_at_once():
 def test_single_group_adaptive_refit_restarts_from_its_pilot():
     # at g = 1 there are no pairs, so the adaptive refit is the pilot's own
     # problem; a q = 2, p > 1 quantile fit reports no certified gap, so the
-    # refit is not returned at once but restarts from the pilot's state
+    # refit is not returned at once but restarts from the pilot's
+    # coefficients
     rng = np.random.default_rng(1)
     design = GroupedDesign(X=rng.standard_normal((10, 2)),
                            y=rng.standard_normal(10), g=1, p=2)
@@ -225,9 +229,9 @@ def _desk_instance(cell, m):
 
 
 def test_plain_warm_start_reports_the_fits_detected_set():
-    # desk cell 0 (g = 20, Gaussian, 2 changes), m = 0: a plain copy of the
-    # fused LS fit carries no state, so it must not be returned with the
-    # detected set of its never exactly fused D b (19 pairs against 13)
+    # desk cell 0 (g = 20, Gaussian, 2 changes), m = 0: a restart from a
+    # copy of the fused LS fit's coefficients must not be returned with the
+    # detected set of their never exactly fused D b (19 pairs against 13)
     spec, design = _desk_instance(0, 0)
     fused = ProblemSpec(loss="ls", q=spec.q,
                         lam=default_schedules(design.n, "fused")[0])
@@ -261,6 +265,13 @@ def test_returned_start_keeps_its_fits_detected_set():
                 replace(MC_SOLVER_CONFIG, warm_start=refit.beta))
     np.testing.assert_array_equal(again.beta.flat, refit.beta.flat)
     assert again.detected_set == refit.detected_set == ()
+
+
+@pytest.mark.parametrize("field", ["tol_abs", "tol_rel", "fusion_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_solver_config_rejects_non_finite_tolerances(field, value):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: value})
 
 
 def test_warm_start_shape_mismatch():
